@@ -20,17 +20,11 @@ from .driver import (
 from .errors import MvrsmError
 from .objectives import NoisyObjective, ackley, make_benchmark, rosenbrock
 from .space import MixedPoint, SearchSpace, VariableSpec
-from .surrogate import (
-    AffineUnit,
-    ReluSurrogate,
-    build_surrogate,
-    enumerate_vertices,
-)
+from .surrogate import ReluSurrogate, build_surrogate, enumerate_vertices
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineUnit",
     "BoxMinConfig",
     "BoxMinResult",
     "MixedPoint",

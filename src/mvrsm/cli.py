@@ -39,12 +39,11 @@ from .errors import (
     ObjectiveFailureError,
 )
 from .objectives import (
-    DEFAULT_NOISE_HIGH,
     BENCHMARKS,
-    NoisyObjective,
-    ackley,
+    DEFAULT_NOISE_HIGH,
+    OBJECTIVES,
     make_benchmark,
-    rosenbrock,
+    make_objective,
 )
 from .space import SearchSpace, VariableSpec
 
@@ -53,7 +52,6 @@ __all__ = ["ExperimentConfig", "load_config", "run_experiment", "summarize_direc
 OUTPUT_DIR_ENV = "MVRSM_OUTPUT_DIR"
 NOISE_STREAM_TAG = 0x5EED  # separates the objective's noise stream from the driver's
 ALGORITHMS = {"mvrsm": run_mvrsm, "rs": run_random_search}
-RAW_OBJECTIVES = {"ackley": ackley, "rosenbrock": rosenbrock}
 
 SUMMARY_COLUMNS = [
     "iter",
@@ -203,8 +201,8 @@ def _parse_space(entries, where: str) -> SearchSpace:
 def _parse_objective(entry, where: str) -> dict:
     if not isinstance(entry, dict) or "name" not in entry:
         _fail(where, "'objective' must be an object with a 'name'")
-    if entry["name"] not in RAW_OBJECTIVES:
-        _fail(where, f"unknown objective {entry['name']!r}; available: {sorted(RAW_OBJECTIVES)}")
+    if entry["name"] not in OBJECTIVES:
+        _fail(where, f"unknown objective {entry['name']!r}; available: {sorted(OBJECTIVES)}")
     extra = set(entry) - {"name", "scale"}
     if extra:
         _fail(where, f"'objective' has unknown keys {sorted(extra)}")
@@ -215,21 +213,6 @@ def _parse_objective(entry, where: str) -> dict:
 
 
 # -- running -------------------------------------------------------------------
-
-
-def _problem(config: ExperimentConfig, seed: int):
-    """Fresh (space, objective) pair for one run; the noise stream is seeded
-    from the run seed so reruns of the same config are reproducible."""
-    noise_rng = np.random.default_rng([seed, NOISE_STREAM_TAG])
-    if config.benchmark is not None:
-        return make_benchmark(config.benchmark, rng=noise_rng, noise_high=config.noise_high)
-    space = config.space
-    name, scale = config.objective["name"], config.objective["scale"]
-    if name == "ackley":
-        base = lambda p: ackley(space.declared_values(p))
-    else:
-        base = lambda p: rosenbrock(space.declared_values(p), scale=scale)
-    return space, NoisyObjective(base, rng=noise_rng, noise_high=config.noise_high)
 
 
 def _atomic_write(path: Path, write_fn) -> None:
@@ -259,7 +242,22 @@ def run_experiment(config: ExperimentConfig, out=None) -> dict:
     failures: list[dict] = []
     for algo in config.algorithms:
         for seed in config.seeds:
-            space, objective = _problem(config, seed)
+            # the noise stream is seeded from the run seed, so reruns of the
+            # same config are reproducible
+            noise_rng = np.random.default_rng([seed, NOISE_STREAM_TAG])
+            if config.benchmark is not None:
+                space, objective = make_benchmark(
+                    config.benchmark, rng=noise_rng, noise_high=config.noise_high
+                )
+            else:
+                space = config.space
+                objective = make_objective(
+                    space,
+                    config.objective["name"],
+                    config.objective["scale"],
+                    rng=noise_rng,
+                    noise_high=config.noise_high,
+                )
             run_config = OptimizerConfig(
                 budget=config.budget,
                 init_samples=config.init_samples,

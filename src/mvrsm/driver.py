@@ -2,8 +2,8 @@
 
 One iteration of the surrogate loop is: evaluate the objective at the
 current point, fold the observation into the least squares fit, descend the
-surrogate from the best point seen so far (optionally from the just-evaluated
-point), round the integer block, and perturb the result to get the next point.
+surrogate from the best point seen so far, round the integer block, and
+perturb the result to get the next point.
 The first ``init_samples`` evaluations are uniform draws that only feed the
 fit; the loop then starts from the best of them.
 
@@ -17,7 +17,7 @@ import csv
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Literal
+from typing import Callable
 
 import numpy as np
 
@@ -46,7 +46,6 @@ class OptimizerConfig:
     init_samples: int = 24
     rng_seed: int = 0
     boxmin: BoxMinConfig = BoxMinConfig()
-    descent_start: Literal["current", "best"] = "best"
 
     def __post_init__(self):
         if self.init_samples < 1:
@@ -55,8 +54,6 @@ class OptimizerConfig:
             raise ValueError(
                 f"budget {self.budget} is smaller than init_samples {self.init_samples}"
             )
-        if self.descent_start not in ("current", "best"):
-            raise ValueError(f"unknown descent_start {self.descent_start!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,8 +194,7 @@ class MvrsmOptimizer:
         if index == self.config.init_samples:
             self._current = self._best_point
         elif index > self.config.init_samples:
-            start = point if self.config.descent_start == "current" else self._best_point
-            result = minimize(self.model, self.space, start, self.config.boxmin)
+            result = minimize(self.model, self.space, self._best_point, self.config.boxmin)
             proposal = self.space.project(result.point)
             self._current = MixedPoint(
                 perturb_continuous(self.space, proposal.xc, self._rng),

@@ -14,7 +14,15 @@ import numpy as np
 from .errors import DimensionTooSmallError, UnknownBenchmarkError
 from .space import MixedPoint, SearchSpace, VariableSpec
 
-__all__ = ["ackley", "rosenbrock", "NoisyObjective", "make_benchmark", "BENCHMARKS"]
+__all__ = [
+    "ackley",
+    "rosenbrock",
+    "NoisyObjective",
+    "make_objective",
+    "make_benchmark",
+    "OBJECTIVES",
+    "BENCHMARKS",
+]
 
 RandomStream = np.random.Generator
 
@@ -77,26 +85,28 @@ def _benchmark_space(n_integer, int_lo, int_up, n_continuous, cont_lo, cont_up):
     )
 
 
-def _ackley53():
-    space = _benchmark_space(50, 0, 1, 3, -1.0, 1.0)
-    return space, lambda p: ackley(space.declared_values(p))
+OBJECTIVES = {"ackley": ackley, "rosenbrock": rosenbrock}
 
-
-def _rosenbrock10():
-    space = _benchmark_space(3, -2, 2, 7, -2.0, 2.0)
-    return space, lambda p: rosenbrock(space.declared_values(p), scale=1.0 / 300.0)
-
-
-def _rosenbrock238():
-    space = _benchmark_space(119, -2, 2, 119, -2.0, 2.0)
-    return space, lambda p: rosenbrock(space.declared_values(p), scale=1.0 / 50_000.0)
-
-
+# name -> (_benchmark_space arguments, objective name, scale)
 BENCHMARKS = {
-    "ackley53": _ackley53,
-    "rosenbrock10": _rosenbrock10,
-    "rosenbrock238": _rosenbrock238,
+    "ackley53": ((50, 0, 1, 3, -1.0, 1.0), "ackley", 1.0),
+    "rosenbrock10": ((3, -2, 2, 7, -2.0, 2.0), "rosenbrock", 1.0 / 300.0),
+    "rosenbrock238": ((119, -2, 2, 119, -2.0, 2.0), "rosenbrock", 1.0 / 50_000.0),
 }
+
+
+def make_objective(
+    space: SearchSpace,
+    name: str,
+    scale: float,
+    rng: RandomStream | None,
+    noise_high: float,
+) -> NoisyObjective:
+    """Noise-wrapped ``scale * OBJECTIVES[name]`` of the coordinates in declaration order."""
+    raw = OBJECTIVES[name]
+    return NoisyObjective(
+        lambda p: scale * raw(space.declared_values(p)), rng=rng, noise_high=noise_high
+    )
 
 
 def make_benchmark(
@@ -106,10 +116,10 @@ def make_benchmark(
 ) -> tuple[SearchSpace, NoisyObjective]:
     """Named benchmark: its search space and noise-wrapped objective."""
     try:
-        factory = BENCHMARKS[name]
+        space_args, objective, scale = BENCHMARKS[name]
     except KeyError:
         raise UnknownBenchmarkError(
             f"unknown benchmark {name!r}; available: {sorted(BENCHMARKS)}"
         ) from None
-    space, base = factory()
-    return space, NoisyObjective(base, rng=rng, noise_high=noise_high)
+    space = _benchmark_space(*space_args)
+    return space, make_objective(space, objective, scale, rng, noise_high)

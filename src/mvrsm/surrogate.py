@@ -1,8 +1,9 @@
 """Piecewise-linear ReLU surrogate over a mixed search space.
 
 The model is g(x) = sum_k c_k * max(0, w_k . x + b_k), a weighted sum of
-rectified affine units, linear in the coefficients c. Units come in three
-kinds:
+rectified affine units, linear in the coefficients c. Unit k is row k of a
+weight matrix plus one bias. Units come in three kinds, each recognisable
+from its row alone:
 
 ``constant``
     w = 0, b = 1: an always-on unit so the model can shift its level.
@@ -30,7 +31,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +44,6 @@ from .rls import RecursiveLeastSquares
 from .space import MixedPoint, SearchSpace
 
 __all__ = [
-    "AffineUnit",
     "ReluSurrogate",
     "Vertex",
     "integer_units",
@@ -59,49 +59,38 @@ RandomStream = np.random.Generator
 REGULARISER = 1e-8  # ridge strength for the coefficient fit
 
 
-@dataclass(frozen=True, eq=False)
-class AffineUnit:
-    """One rectified unit: contributes max(0, weights . x + bias) to the model."""
-
-    weights: np.ndarray  # length dim, block layout [continuous; integer]
-    bias: float
-    kind: str  # "constant" | "integer" | "mixed"
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
-        object.__setattr__(self, "bias", float(self.bias))
-
-
 @dataclass
 class ReluSurrogate:
-    """The fitted model: units are frozen after construction, coefficients are not.
+    """The fitted model: unit rows are frozen after construction, coefficients are not.
 
-    ``coeffs`` is shared with the attached least squares state (when one is
-    attached), so updates through either view are seen by both.
+    Row k of ``weights`` (block layout [continuous; integer]) and ``biases[k]``
+    define unit k. ``coeffs`` is shared with the attached least squares state
+    (when one is attached), so updates through either view are seen by both.
     """
 
-    units: list[AffineUnit]
+    weights: np.ndarray
+    biases: np.ndarray
     coeffs: np.ndarray
     rls: RecursiveLeastSquares | None = None
-    _weights: np.ndarray = field(init=False, repr=False)
-    _biases: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        self.weights = np.asarray(self.weights, dtype=float)
+        self.biases = np.asarray(self.biases, dtype=float)
         self.coeffs = np.asarray(self.coeffs, dtype=float)
-        if len(self.coeffs) != len(self.units):
+        m = len(self.biases)
+        if self.weights.ndim != 2 or len(self.weights) != m or len(self.coeffs) != m:
             raise DimensionMismatchError(
-                f"{len(self.coeffs)} coefficients for {len(self.units)} units"
+                f"weights of shape {self.weights.shape}, {m} biases and "
+                f"{len(self.coeffs)} coefficients"
             )
-        self._weights = np.array([u.weights for u in self.units], dtype=float)
-        self._biases = np.array([u.bias for u in self.units], dtype=float)
 
     @property
     def n_units(self) -> int:
-        return len(self.units)
+        return len(self.coeffs)
 
     @property
     def dim(self) -> int:
-        return self._weights.shape[1]
+        return self.weights.shape[1]
 
     def _coords(self, x) -> np.ndarray:
         if isinstance(x, MixedPoint):
@@ -114,7 +103,7 @@ class ReluSurrogate:
     def features(self, x) -> np.ndarray:
         """Unit activations phi_k(x) = max(0, w_k . x + b_k)."""
         x = self._coords(x)
-        return np.maximum(self._weights @ x + self._biases, 0.0)
+        return np.maximum(self.weights @ x + self.biases, 0.0)
 
     def value(self, x) -> float:
         return float(self.coeffs @ self.features(x))
@@ -122,9 +111,9 @@ class ReluSurrogate:
     def gradient(self, x) -> np.ndarray:
         """Subgradient sum_k c_k s(z_k) w_k with s = 1 above the kink, 0 below, 1/2 at it."""
         x = self._coords(x)
-        z = self._weights @ x + self._biases
+        z = self.weights @ x + self.biases
         slope = np.where(z > 0.0, 1.0, np.where(z < 0.0, 0.0, 0.5))
-        return self._weights.T @ (self.coeffs * slope)
+        return self.weights.T @ (self.coeffs * slope)
 
     def directional_derivative(self, x, direction: np.ndarray) -> float:
         """Exact one-sided derivative of the model at ``x`` along ``direction``.
@@ -143,8 +132,8 @@ class ReluSurrogate:
             raise DimensionMismatchError(
                 f"direction of shape {direction.shape}, model dim {self.dim}"
             )
-        z = self._weights @ x + self._biases
-        rate = self._weights @ direction
+        z = self.weights @ x + self.biases
+        rate = self.weights @ direction
         slope = np.where(z > 0.0, rate, 0.0)
         at_kink = z == 0.0
         slope[at_kink] = np.maximum(rate[at_kink], 0.0)
@@ -159,11 +148,11 @@ class ReluSurrogate:
         a kink point.
         """
         x = self._coords(x)
-        z = self._weights @ x + self._biases
+        z = self.weights @ x + self.biases
         active = self.coeffs * (z > 0.0)
-        base = self._weights.T @ active
+        base = self.weights.T @ active
         kink = z == 0.0
-        w_kink = self._weights[kink]
+        w_kink = self.weights[kink]
         c_kink = self.coeffs[kink]
         up = np.maximum(w_kink, 0.0).T @ c_kink
         down = np.maximum(-w_kink, 0.0).T @ c_kink
@@ -172,12 +161,10 @@ class ReluSurrogate:
     # -- snapshots ----------------------------------------------------------
 
     def to_json(self) -> str:
-        """Serialize units and coefficients (fit covariance is not included)."""
+        """Serialize unit rows and coefficients (fit covariance is not included)."""
         payload = {
-            "units": [
-                {"weights": u.weights.tolist(), "bias": u.bias, "kind": u.kind}
-                for u in self.units
-            ],
+            "weights": self.weights.tolist(),
+            "biases": self.biases.tolist(),
             "coeffs": self.coeffs.tolist(),
         }
         return json.dumps(payload)
@@ -185,48 +172,39 @@ class ReluSurrogate:
     @classmethod
     def from_json(cls, text: str) -> "ReluSurrogate":
         payload = json.loads(text)
-        units = [
-            AffineUnit(np.array(u["weights"], float), u["bias"], u["kind"])
-            for u in payload["units"]
-        ]
-        return cls(units, np.array(payload["coeffs"], float))
+        return cls(payload["weights"], payload["biases"], payload["coeffs"])
 
 
 # -- basis construction ------------------------------------------------------
 
 
-def integer_units(space: SearchSpace) -> list[AffineUnit]:
-    """The deterministic block: one constant unit, then every integer unit.
+def integer_units(space: SearchSpace) -> tuple[np.ndarray, np.ndarray]:
+    """The deterministic block as (weights, biases): one constant unit, then
+    every integer unit.
 
     Ordering is fixed: constant; single-variable units by variable, then
     threshold, then sign (+ before -); adjacent-pair units likewise.
     """
-    dim = space.dim
-    nc = space.n_continuous
-    units: list[AffineUnit] = []
-
-    w0 = np.zeros(dim)
-    units.append(AffineUnit(w0, 1.0, "constant"))
-
+    nc, nd = space.n_continuous, space.n_integer
     lo = space.integer_lower.astype(int)
     up = space.integer_upper.astype(int)
+    # one (variable, previous variable or -1, threshold) triple per +/- pair
+    triples = [(i, -1, a) for i in range(nd) for a in range(lo[i], up[i] + 1)]
+    triples += [
+        (i, i - 1, a)
+        for i in range(1, nd)
+        for a in range(lo[i] - up[i - 1], up[i] - lo[i - 1] + 1)
+    ]
+    var, prev, thresh = np.repeat(np.array(triples, dtype=int).reshape(-1, 3), 2, axis=0).T
+    sign = np.tile([1.0, -1.0], len(triples))
 
-    for i in range(space.n_integer):
-        for a in range(lo[i], up[i] + 1):
-            for sign in (1.0, -1.0):
-                w = np.zeros(dim)
-                w[nc + i] = sign
-                units.append(AffineUnit(w, -sign * a, "integer"))
-
-    for i in range(1, space.n_integer):
-        for a in range(lo[i] - up[i - 1], up[i] - lo[i - 1] + 1):
-            for sign in (1.0, -1.0):
-                w = np.zeros(dim)
-                w[nc + i] = sign
-                w[nc + i - 1] = -sign
-                units.append(AffineUnit(w, -sign * a, "integer"))
-
-    return units
+    weights = np.zeros((1 + len(sign), space.dim))
+    rows = np.arange(1, len(weights))
+    weights[rows, nc + var] = sign
+    paired = prev >= 0
+    weights[rows[paired], nc + prev[paired]] = -sign[paired]
+    biases = np.concatenate([[1.0], -sign * thresh])
+    return weights, biases
 
 
 def sample_directions(space: SearchSpace, rng: RandomStream) -> np.ndarray:
@@ -256,27 +234,31 @@ def corner_points(space: SearchSpace, weights: np.ndarray) -> tuple[np.ndarray, 
 
 def mixed_units(
     space: SearchSpace, directions: np.ndarray, count: int, rng: RandomStream
-) -> list[AffineUnit]:
-    """``count`` mixed units with kink hyperplanes guaranteed to cross the box.
+) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` mixed units as (weights, biases), with kink hyperplanes
+    guaranteed to cross the box.
 
     For a direction w with extreme values lo = w . argmin and hi = w . argmax
     over the box, any bias in [-hi, -lo] puts the zero level set of
     w . x + bias inside the box; the bias is drawn uniformly from that range.
+    Each unit draws its direction index and then its bias from ``rng``.
     """
     directions = np.asarray(directions, dtype=float)
     if space.n_continuous >= 1 and len(directions) == 0:
         raise EmptyDirectionSetError(
             "a space with continuous variables needs at least one direction"
         )
-    units: list[AffineUnit] = []
-    for _ in range(count):
-        w = directions[rng.integers(len(directions))]
+    ranges = []
+    for w in directions:
         min_corner, max_corner = corner_points(space, w)
-        lo = float(w @ min_corner)
-        hi = float(w @ max_corner)
-        bias = float(rng.uniform(-hi, -lo))
-        units.append(AffineUnit(w.copy(), bias, "mixed"))
-    return units
+        ranges.append((float(w @ min_corner), float(w @ max_corner)))
+    picks = np.empty(count, dtype=int)
+    biases = np.empty(count)
+    for k in range(count):
+        picks[k] = rng.integers(len(directions))
+        lo, hi = ranges[picks[k]]
+        biases[k] = rng.uniform(-hi, -lo)
+    return directions[picks], biases
 
 
 def build_surrogate(space: SearchSpace, rng: RandomStream) -> ReluSurrogate:
@@ -288,16 +270,18 @@ def build_surrogate(space: SearchSpace, rng: RandomStream) -> ReluSurrogate:
     for the constant and integer units (a separable bowl whose minima sit on
     integer points) and 0 for the mixed units.
     """
-    units = integer_units(space)
-    n_int_units = len(units) - 1
+    weights, biases = integer_units(space)
+    n_int_units = len(biases) - 1
     n_mixed = 0
     if space.n_continuous > 0:
         directions = sample_directions(space, rng)
         n_mixed = math.ceil(space.n_continuous * n_int_units / space.n_integer)
-        units.extend(mixed_units(space, directions, n_mixed, rng))
+        mixed_weights, mixed_biases = mixed_units(space, directions, n_mixed, rng)
+        weights = np.concatenate([weights, mixed_weights])
+        biases = np.concatenate([biases, mixed_biases])
     coeffs = np.concatenate([np.ones(1 + n_int_units), np.zeros(n_mixed)])
     fit = RecursiveLeastSquares(coeffs, lam=REGULARISER)
-    return ReluSurrogate(units, fit.coeffs, rls=fit)
+    return ReluSurrogate(weights, biases, fit.coeffs, rls=fit)
 
 
 # -- exhaustive vertex enumeration (test support) -----------------------------
@@ -321,7 +305,8 @@ def enumerate_vertices(
     independent contributes one vertex (the simultaneous zero of its units);
     vertices outside the box are returned too, flagged by ``in_bounds``.
     Intended for small models only; raises TooLargeError when the subset
-    count exceeds ``max_subsets``.
+    count exceeds ``max_subsets``, and DimensionMismatchError when the mixed
+    rows span more than n_continuous dimensions.
     """
     if model.dim != space.dim:
         raise DimensionMismatchError(f"model dim {model.dim} != space dim {space.dim}")
@@ -333,37 +318,23 @@ def enumerate_vertices(
         return []
 
     nc, nd = space.n_continuous, space.n_integer
-    kinds = np.array(
-        [{"constant": 0, "integer": 1, "mixed": 2}[u.kind] for u in model.units], dtype=int
-    )
-    weights = model._weights
-    biases = model._biases
+    weights, biases = model.weights, model.biases
+    # a unit's kind is read off its row: 0 constant (all-zero row), 1 integer
+    # (zero continuous block), 2 mixed (anything else)
+    kinds = np.where(np.any(weights != 0.0, axis=1), 1, 0)
+    kinds[np.any(weights[:, :nc] != 0.0, axis=1)] = 2
+    # only when mixed rows span at most nc dimensions is "independent subset"
+    # the same as "nd integer units with invertible integer block plus nc
+    # mixed units with invertible continuous block"
+    mixed_rows = weights[kinds == 2]
+    rank = np.linalg.matrix_rank(mixed_rows) if len(mixed_rows) else 0
+    if rank > nc:
+        raise DimensionMismatchError(
+            f"mixed unit rows span {rank} dimensions, more than the {nc} continuous ones"
+        )
     subsets = np.array(list(itertools.combinations(range(m), dim)), dtype=int)
-
-    if _conforms(model, nc):
-        keep = _structural_candidates(subsets, kinds, nc, nd)
-        return _solve_structured(subsets[keep], kinds, weights, biases, space)
-    # hand-built models may tag units arbitrarily; fall back to a dense check
-    return _solve_generic(subsets, weights, biases, space)
-
-
-def _conforms(model: ReluSurrogate, nc: int) -> bool:
-    """True when unit kinds carry their structural meaning.
-
-    Constant/integer units must have zero continuous weights and mixed units
-    must span at most nc dimensions; only then is "independent subset" the
-    same as "nd integer units with invertible integer block plus nc mixed
-    units with invertible continuous block".
-    """
-    mixed_rows = [u.weights for u in model.units if u.kind == "mixed"]
-    for u in model.units:
-        if u.kind in ("constant", "integer") and np.any(u.weights[:nc] != 0.0):
-            return False
-        if u.kind == "constant" and np.any(u.weights != 0.0):
-            return False
-    if mixed_rows and np.linalg.matrix_rank(np.array(mixed_rows)) > nc:
-        return False
-    return True
+    keep = _structural_candidates(subsets, kinds, nc, nd)
+    return _solve_structured(subsets[keep], kinds, weights, biases, space)
 
 
 def _structural_candidates(
@@ -393,7 +364,7 @@ def _solve_structured(
         return []
     nc, nd = space.n_continuous, space.n_integer
     # order each subset integer-units-first; built models already are, but
-    # hand-assembled unit lists need not be
+    # hand-built ones need not be
     order = np.argsort(kinds[subsets], axis=1, kind="stable")
     ordered = np.take_along_axis(subsets, order, axis=1)
     int_part, mix_part = ordered[:, :nd], ordered[:, nd:]
@@ -416,19 +387,6 @@ def _solve_structured(
     else:
         xc = np.zeros((len(xd), 0))
     return _collect(subsets[ok], xc, xd, space)
-
-
-def _solve_generic(
-    subsets: np.ndarray, weights: np.ndarray, biases: np.ndarray, space: SearchSpace
-) -> list[Vertex]:
-    nc = space.n_continuous
-    mats = weights[subsets]
-    sv = np.linalg.svd(mats, compute_uv=False)
-    ok = sv[:, -1] > 1e-9 * np.maximum(sv[:, 0], np.finfo(float).tiny)
-    if not np.any(ok):
-        return []
-    sol = np.linalg.solve(mats[ok], -biases[subsets[ok]][..., None])[..., 0]
-    return _collect(subsets[ok], sol[:, :nc], sol[:, nc:], space)
 
 
 def _collect(

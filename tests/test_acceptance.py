@@ -1,9 +1,9 @@
 """Acceptance suite: end-to-end checks of the model's structural guarantees,
 the fitting and exploration statistics, and desk-scale benchmark behavior.
 
-Each test prints one summary line with its measured numbers; run with -s (or
-read test_output.txt) to see them. Runtime ceilings are asserted, so a pass
-also certifies the cost envelope.
+Each test prints one summary line with its measured numbers; run with
+``pytest -s`` to see them. Runtime ceilings are asserted, so a pass also
+certifies the cost envelope.
 """
 
 import time
@@ -85,10 +85,10 @@ def test_02_mixed_unit_kink_planes_cross_their_box():
             cont_width=(0.5, 4.0),
         )
         directions = sample_directions(space, rng)
-        for unit in mixed_units(space, directions, 50, rng):
-            q1, q2 = corner_points(space, unit.weights)
-            assert unit.weights @ q1 + unit.bias <= 1e-12
-            assert unit.weights @ q2 + unit.bias >= -1e-12
+        for weights, bias in zip(*mixed_units(space, directions, 50, rng)):
+            q1, q2 = corner_points(space, weights)
+            assert weights @ q1 + bias <= 1e-12
+            assert weights @ q2 + bias >= -1e-12
             checked += 1
     elapsed = time.perf_counter() - tic
     assert checked == 1000
@@ -139,7 +139,7 @@ def test_04_gradient_matches_finite_differences_off_the_kinks():
     worst = 0.0
     while checked < 1000:
         x = rng.uniform(space.lower, space.upper)
-        z = model._weights @ x + model._biases
+        z = model.weights @ x + model.biases
         if np.min(np.abs(z)) <= 1e-6:
             continue  # too close to a kink for a clean two-sided difference
         grad = model.gradient(x)

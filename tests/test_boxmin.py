@@ -6,7 +6,7 @@ import pytest
 from mvrsm.boxmin import BoxMinConfig, BoxMinResult, minimize
 from mvrsm.errors import NonFiniteError
 from mvrsm.space import MixedPoint, SearchSpace, VariableSpec
-from mvrsm.surrogate import AffineUnit, ReluSurrogate, build_surrogate
+from mvrsm.surrogate import ReluSurrogate, build_surrogate
 
 
 def golden_section(f, lo, hi, tol=1e-10):
@@ -29,10 +29,9 @@ def line_space(lo=0.0, up=3.0):
 
 
 def scalar_model(units, coeffs):
-    return ReluSurrogate(
-        [AffineUnit(np.array([w]), b, "integer") for w, b in units],
-        np.array(coeffs, dtype=float),
-    )
+    """1-D model from (weight, bias) pairs."""
+    weights, biases = zip(*units)
+    return ReluSurrogate(np.array(weights, float)[:, None], biases, coeffs)
 
 
 def start(space, *coords):
@@ -119,11 +118,8 @@ def test_escapes_kink_point_where_averaged_gradient_misleads():
         (VariableSpec("integer", 0, 2), VariableSpec("integer", 0, 2))
     )
     model = ReluSurrogate(
-        [
-            AffineUnit(np.array([1.0, 0.0]), -1.0, "integer"),
-            AffineUnit(np.array([-1.0, 0.0]), 1.0, "integer"),
-            AffineUnit(np.array([0.0, -1.0]), 1.0, "integer"),
-        ],
+        np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]]),
+        np.array([-1.0, 1.0, 1.0]),
         np.array([5.0, 6.0, 0.5]),
     )
     x0 = np.array([1.0, 0.0])

@@ -201,6 +201,28 @@ def test_reruns_reproduce_everything_but_timing(tmp_path):
         np.testing.assert_array_equal(a["coords"], b["coords"])
 
 
+@pytest.mark.parametrize("name", ["ackley", "rosenbrock"])
+def test_custom_objective_scale_multiplies_every_value(tmp_path, name):
+    ys = {}
+    for scale in (1, 2):
+        raw = {
+            "space": [
+                {"kind": "integer", "lower": 0, "upper": 4},
+                {"kind": "continuous", "lower": -1.0, "upper": 1.0},
+            ],
+            "objective": {"name": name, "scale": scale},
+            "algorithms": ["rs"],
+            "budget": 30,
+            "seeds": [0],
+            "output_dir": str(tmp_path / f"scale{scale}"),
+            "noise": 0,
+        }
+        (path,) = run_experiment(load_config(write_config(tmp_path, raw)))["traces"]
+        ys[scale] = read_trace_csv(path)["y"]
+    assert np.all(ys[1] > 0.0)
+    np.testing.assert_array_equal(ys[2], 2.0 * ys[1])
+
+
 def test_output_dir_environment_override(tmp_path, monkeypatch):
     override = tmp_path / "elsewhere"
     monkeypatch.setenv(OUTPUT_DIR_ENV, str(override))

@@ -39,8 +39,6 @@ def test_config_validation():
         OptimizerConfig(budget=10, init_samples=0)
     with pytest.raises(ValueError):
         OptimizerConfig(budget=10, init_samples=11)
-    with pytest.raises(ValueError):
-        OptimizerConfig(budget=10, init_samples=5, descent_start="warm")
 
 
 def test_budget_equal_to_init_is_pure_random_phase():
@@ -90,14 +88,6 @@ def test_identical_seeds_reproduce_trace():
     np.testing.assert_array_equal(a.best_y_curve(), b.best_y_curve())
     for ra, rb in zip(a.records, b.records):
         np.testing.assert_array_equal(ra.point.flatten(), rb.point.flatten())
-
-
-def test_descent_from_current_point_variant_runs():
-    space = small_space()
-    cfg = OptimizerConfig(budget=40, rng_seed=4, descent_start="current")
-    trace = run_mvrsm(quadratic, space, cfg)
-    assert len(trace) == 40
-    assert np.all(np.diff(trace.best_y_curve()) <= 0)
 
 
 def test_ask_tell_protocol_enforced():

@@ -10,7 +10,6 @@ from mvrsm.errors import (
 )
 from mvrsm.space import MixedPoint, SearchSpace, VariableSpec
 from mvrsm.surrogate import (
-    AffineUnit,
     ReluSurrogate,
     build_surrogate,
     corner_points,
@@ -37,61 +36,58 @@ def one_cont_two_int():
 
 
 def scalar_model(units, coeffs):
-    """1-D model from (weight, bias, kind) triples."""
-    return ReluSurrogate(
-        [AffineUnit(np.array([w]), b, kind) for w, b, kind in units],
-        np.array(coeffs, dtype=float),
-    )
+    """1-D model from (weight, bias) pairs."""
+    weights, biases = zip(*units)
+    return ReluSurrogate(np.array(weights, float)[:, None], biases, coeffs)
 
 
 # -- integer basis ----------------------------------------------------------
 
 
 def test_single_binary_variable_basis():
-    units = integer_units(int_space((0, 1)))
-    assert len(units) == 5
-    assert units[0].kind == "constant"
-    assert units[0].weights.tolist() == [0.0] and units[0].bias == 1.0
+    weights, biases = integer_units(int_space((0, 1)))
+    assert weights.shape == (5, 1) and biases.shape == (5,)
+    # the constant unit comes first
+    assert weights[0].tolist() == [0.0] and biases[0] == 1.0
     # variable, then threshold, then sign: +(x-0), -(x-0), +(x-1), -(x-1)
-    got = [(u.weights.tolist(), u.bias) for u in units[1:]]
+    got = list(zip(weights[1:].tolist(), biases[1:].tolist()))
     assert got == [([1.0], -0.0), ([-1.0], 0.0), ([1.0], -1.0), ([-1.0], 1.0)]
 
 
 def test_two_variable_basis_count():
     # 1 constant + 2 * (2*3 singles) + 2*(3+3-1) pair units = 23
-    units = integer_units(int_space((0, 2), (0, 2)))
-    assert len(units) == 23
-    kinds = {u.kind for u in units[1:]}
-    assert kinds == {"integer"}
+    weights, biases = integer_units(int_space((0, 2), (0, 2)))
+    assert weights.shape == (23, 2) and biases.shape == (23,)
+    assert np.all(np.any(weights[1:] != 0.0, axis=1))
 
 
 def test_pair_units_span_cross_differences():
     # thresholds for the pair block cover l2-u1 .. u2-l1
-    units = integer_units(int_space((0, 1), (3, 5)))
-    pair = [u for u in units if np.count_nonzero(u.weights) == 2]
-    biases = sorted({u.bias for u in pair if u.weights[1] == 1.0})
+    weights, biases = integer_units(int_space((0, 1), (3, 5)))
+    pair = np.count_nonzero(weights, axis=1) == 2
+    rising = sorted(set(biases[pair & (weights[:, 1] == 1.0)].tolist()))
     # z = x2 - x1 - a for a in {3-1 .. 5-0} = {2..5}, stored bias is -a
-    assert biases == [-5.0, -4.0, -3.0, -2.0]
-    for u in pair:
-        assert sorted(u.weights[np.nonzero(u.weights)].tolist()) == [-1.0, 1.0]
+    assert rising == [-5.0, -4.0, -3.0, -2.0]
+    for w in weights[pair]:
+        assert sorted(w[np.nonzero(w)].tolist()) == [-1.0, 1.0]
 
 
 def test_integer_units_have_zero_continuous_weights_and_integer_parameters():
     space = one_cont_two_int()
-    for u in integer_units(space):
-        assert np.all(u.weights[: space.n_continuous] == 0.0)
-        assert np.all(u.weights == np.round(u.weights))
-        assert u.bias == round(u.bias)
+    weights, biases = integer_units(space)
+    assert np.all(weights[:, : space.n_continuous] == 0.0)
+    assert np.all(weights == np.round(weights))
+    assert np.all(biases == np.round(biases))
 
 
 def test_integer_units_are_integral_on_integral_points():
     space = int_space((-2, 2), (-2, 2))
     rng = np.random.default_rng(0)
-    units = integer_units(space)
+    weights, biases = integer_units(space)
     for _ in range(50):
         x = space.uniform_sample(rng).flatten()
-        for u in units:
-            z = u.weights @ x + u.bias
+        for w, b in zip(weights, biases):
+            z = w @ x + b
             assert z == np.floor(z)
 
 
@@ -111,7 +107,8 @@ def test_direction_set_shape_and_support():
 def test_no_continuous_variables_no_directions():
     dirs = sample_directions(int_space((0, 3)), np.random.default_rng(0))
     assert dirs.shape == (0, 1)
-    assert mixed_units(int_space((0, 3)), dirs, 0, np.random.default_rng(0)) == []
+    weights, biases = mixed_units(int_space((0, 3)), dirs, 0, np.random.default_rng(0))
+    assert weights.shape == (0, 1) and biases.shape == (0,)
 
 
 def test_corner_points_sign_rule():
@@ -146,19 +143,38 @@ def test_mixed_unit_kinks_cross_the_box():
     space = one_cont_two_int()
     rng = np.random.default_rng(2)
     dirs = sample_directions(space, rng)
-    for u in mixed_units(space, dirs, 200, rng):
-        q1, q2 = corner_points(space, u.weights)
-        assert u.weights @ q1 + u.bias <= 1e-12
-        assert u.weights @ q2 + u.bias >= -1e-12
+    for w, b in zip(*mixed_units(space, dirs, 200, rng)):
+        q1, q2 = corner_points(space, w)
+        assert w @ q1 + b <= 1e-12
+        assert w @ q2 + b >= -1e-12
 
 
 def test_mixed_unit_weights_come_from_the_direction_set():
     space = one_cont_two_int()
     rng = np.random.default_rng(2)
     dirs = sample_directions(space, rng)
-    for u in mixed_units(space, dirs, 50, rng):
-        assert any(np.array_equal(u.weights, d) for d in dirs)
-        assert u.kind == "mixed"
+    weights, _ = mixed_units(space, dirs, 50, rng)
+    for w in weights:
+        assert any(np.array_equal(w, d) for d in dirs)
+
+
+def test_mixed_units_draw_one_index_then_one_bias_per_unit():
+    # the random stream layout is part of every seeded trace: per unit, one
+    # direction index and then one bias, in unit order (several directions,
+    # since drawing an index among one consumes nothing from the stream)
+    space = SearchSpace(
+        tuple(VariableSpec("continuous", -1.0, 2.0) for _ in range(3))
+        + (VariableSpec("integer", 0, 2),)
+    )
+    dirs = sample_directions(space, np.random.default_rng(3))
+    assert len(dirs) == 3
+    weights, biases = mixed_units(space, dirs, 40, np.random.default_rng(4))
+    ref = np.random.default_rng(4)
+    for w, b in zip(weights, biases):
+        d = dirs[ref.integers(len(dirs))]
+        q1, q2 = corner_points(space, d)
+        assert w.tobytes() == d.tobytes()
+        assert b == ref.uniform(-float(d @ q2), -float(d @ q1))
 
 
 def test_mixed_units_need_directions():
@@ -174,19 +190,23 @@ def test_build_surrogate_counts_and_initial_coefficients():
     # C_int = 22 for two {0..2} integers; D_c = ceil(1*22/2) = 11; M = 34
     space = one_cont_two_int()
     model = build_surrogate(space, np.random.default_rng(0))
-    kinds = [u.kind for u in model.units]
-    assert kinds[0] == "constant"
-    assert kinds.count("integer") == 22
-    assert kinds.count("mixed") == 11
     assert model.n_units == 34
+    assert model.weights.shape == (34, 3) and model.biases.shape == (34,)
+    # constant row, then 22 integer rows (zero continuous block), then 11 mixed
+    assert np.all(model.weights[0] == 0.0) and model.biases[0] == 1.0
+    assert np.all(model.weights[1:23, :1] == 0.0)
+    assert np.all(model.weights[23:, :1] != 0.0)
     assert np.all(model.coeffs[:23] == 1.0)
     assert np.all(model.coeffs[23:] == 0.0)
 
 
 def test_build_surrogate_no_continuous_block():
-    model = build_surrogate(int_space((0, 2), (0, 2)), np.random.default_rng(0))
+    space = int_space((0, 2), (0, 2))
+    model = build_surrogate(space, np.random.default_rng(0))
     assert model.n_units == 23
-    assert all(u.kind != "mixed" for u in model.units)
+    weights, biases = integer_units(space)
+    assert np.array_equal(model.weights, weights)
+    assert np.array_equal(model.biases, biases)
 
 
 def test_coefficients_alias_the_fit_state():
@@ -200,39 +220,39 @@ def test_coefficients_alias_the_fit_state():
 
 
 def test_value_hand_example():
-    model = scalar_model([(1, -1, "integer"), (-1, 2, "integer")], [1, 2])
+    model = scalar_model([(1, -1), (-1, 2)], [1, 2])
     assert model.value(np.array([1.5])) == pytest.approx(1.5)
 
 
 def test_value_zero_coefficients():
-    model = scalar_model([(1, -1, "integer"), (-1, 2, "integer")], [0, 0])
+    model = scalar_model([(1, -1), (-1, 2)], [0, 0])
     for x in (-3.0, 0.0, 2.7):
         assert model.value(np.array([x])) == 0.0
 
 
 def test_value_constant_only():
-    model = scalar_model([(0, 1, "constant")], [3])
+    model = scalar_model([(0, 1)], [3])
     for x in (-10.0, 0.0, 42.0):
         assert model.value(np.array([x])) == 3.0
 
 
 def test_gradient_away_from_kinks():
-    model = scalar_model([(1, -1, "integer"), (-1, 2, "integer")], [1, 2])
+    model = scalar_model([(1, -1), (-1, 2)], [1, 2])
     assert model.gradient(np.array([1.5])).tolist() == [-1.0]
 
 
 def test_gradient_at_kink_uses_half_slope():
-    model = scalar_model([(1, -1, "integer"), (-1, 2, "integer")], [1, 2])
+    model = scalar_model([(1, -1), (-1, 2)], [1, 2])
     assert model.gradient(np.array([1.0])).tolist() == [-1.5]
 
 
 def test_gradient_all_units_inactive():
-    model = scalar_model([(1, -1, "integer"), (1, -2, "integer")], [1, 2])
+    model = scalar_model([(1, -1), (1, -2)], [1, 2])
     assert model.gradient(np.array([0.5])).tolist() == [0.0]
 
 
 def test_dimension_mismatch_on_evaluation():
-    model = scalar_model([(1, 0, "integer")], [1])
+    model = scalar_model([(1, 0)], [1])
     with pytest.raises(DimensionMismatchError):
         model.value(np.zeros(2))
     with pytest.raises(DimensionMismatchError):
@@ -250,7 +270,7 @@ def test_piecewise_linearity_within_a_region():
     space = one_cont_two_int()
     model = build_surrogate(space, np.random.default_rng(4))
     model.coeffs[:] = np.random.default_rng(5).uniform(-1, 1, model.n_units)
-    w, b = np.array([u.weights for u in model.units]), np.array([u.bias for u in model.units])
+    w, b = model.weights, model.biases
     rng = np.random.default_rng(6)
     checked = 0
     while checked < 50:
@@ -283,7 +303,7 @@ def test_directional_derivative_matches_gradient_off_kinks():
 
 def test_directional_derivative_is_one_sided_at_kink():
     # single unit max(0, x): slope 1 to the right of 0, 0 to the left
-    model = scalar_model([(1, 0, "integer")], [1])
+    model = scalar_model([(1, 0)], [1])
     x = np.array([0.0])
     assert model.directional_derivative(x, np.array([1.0])) == 1.0
     assert model.directional_derivative(x, np.array([-1.0])) == 0.0
@@ -295,8 +315,7 @@ def test_directional_derivative_predicts_small_steps():
     space = one_cont_two_int()
     model = build_surrogate(space, np.random.default_rng(12))
     model.coeffs[:] = np.random.default_rng(13).uniform(-1, 1, model.n_units)
-    w = np.array([u.weights for u in model.units])
-    b = np.array([u.bias for u in model.units])
+    w, b = model.weights, model.biases
     rng = np.random.default_rng(14)
     for _ in range(30):
         x = space.uniform_sample(rng).flatten()  # integral: many units at kinks
@@ -338,11 +357,8 @@ def test_json_round_trip_is_exact():
     model = build_surrogate(space, np.random.default_rng(20))
     model.coeffs[:] = np.random.default_rng(21).uniform(-1, 1, model.n_units)
     clone = ReluSurrogate.from_json(model.to_json())
-    assert clone.n_units == model.n_units
-    for a, b in zip(clone.units, model.units):
-        assert np.array_equal(a.weights, b.weights)
-        assert a.bias == b.bias
-        assert a.kind == b.kind
+    assert np.array_equal(clone.weights, model.weights)
+    assert np.array_equal(clone.biases, model.biases)
     assert np.array_equal(clone.coeffs, model.coeffs)
     x = np.array([0.3, 1.0, 2.0])
     assert clone.value(x) == model.value(x)
@@ -357,11 +373,7 @@ def test_vertex_pinned_by_integer_unit():
         (VariableSpec("continuous", -5, 5), VariableSpec("integer", -5, 5))
     )
     model = ReluSurrogate(
-        [
-            AffineUnit(np.array([0.0, 1.0]), -1.0, "integer"),
-            AffineUnit(np.array([0.3, 0.2]), -0.5, "mixed"),
-        ],
-        np.array([1.0, 1.0]),
+        np.array([[0.0, 1.0], [0.3, 0.2]]), np.array([-1.0, -0.5]), np.array([1.0, 1.0])
     )
     vertices = enumerate_vertices(model, space)
     assert len(vertices) == 1
@@ -376,26 +388,29 @@ def test_dependent_subsets_are_skipped():
         (VariableSpec("continuous", -5, 5), VariableSpec("integer", -5, 5))
     )
     w = np.array([0.3, 0.2])
-    model = ReluSurrogate(
-        [AffineUnit(w, -0.5, "mixed"), AffineUnit(w, 0.7, "mixed")],
-        np.array([1.0, 1.0]),
-    )
+    model = ReluSurrogate(np.array([w, w]), np.array([-0.5, 0.7]), np.array([1.0, 1.0]))
     assert enumerate_vertices(model, space) == []
 
 
 def test_out_of_bounds_vertices_are_flagged():
     space = int_space((0, 3), (0, 3))
-    model = ReluSurrogate(
-        [
-            AffineUnit(np.array([1.0, 0.0]), -5.0, "integer"),
-            AffineUnit(np.array([0.0, 1.0]), -2.0, "integer"),
-        ],
-        np.array([1.0, 1.0]),
-    )
+    model = ReluSurrogate(np.eye(2), np.array([-5.0, -2.0]), np.array([1.0, 1.0]))
     vertices = enumerate_vertices(model, space)
     assert len(vertices) == 1
     assert vertices[0].point.xd.tolist() == [5.0, 2.0]
     assert not vertices[0].in_bounds
+
+
+def test_enumeration_rejects_mixed_rows_spanning_too_many_dimensions():
+    # one continuous variable, but the two mixed rows are independent
+    space = SearchSpace(
+        (VariableSpec("continuous", -5, 5), VariableSpec("integer", -5, 5))
+    )
+    model = ReluSurrogate(
+        np.array([[0.3, 0.2], [0.1, -0.4]]), np.array([-0.5, 0.7]), np.array([1.0, 1.0])
+    )
+    with pytest.raises(DimensionMismatchError, match="span 2 dimensions"):
+        enumerate_vertices(model, space)
 
 
 def test_enumeration_refuses_oversized_models():
