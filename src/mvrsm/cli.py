@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import tempfile
@@ -105,6 +106,16 @@ def _fail(where: str, message: str):
     raise ConfigError(f"{where}: {message}")
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, which is a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_number(value) -> bool:
+    # json.loads accepts NaN and Infinity
+    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
+
+
 def _validate_config(raw: dict, where: str) -> ExperimentConfig:
     known = {
         "benchmark",
@@ -144,16 +155,16 @@ def _validate_config(raw: dict, where: str) -> ExperimentConfig:
             _fail(where, f"unknown algorithm {algo!r}; available: {sorted(ALGORITHMS)}")
 
     budget = raw.get("budget")
-    if not isinstance(budget, int) or budget < 1:
+    if not _is_int(budget) or budget < 1:
         _fail(where, "'budget' must be a positive integer")
     init_samples = raw.get("init_samples", 24)
-    if not isinstance(init_samples, int) or init_samples < 1:
+    if not _is_int(init_samples) or init_samples < 1:
         _fail(where, "'init_samples' must be a positive integer")
     if budget < init_samples:
         _fail(where, f"budget {budget} is smaller than init_samples {init_samples}")
 
     seeds = raw.get("seeds")
-    if not isinstance(seeds, list) or not seeds or not all(isinstance(s, int) for s in seeds):
+    if not isinstance(seeds, list) or not seeds or not all(_is_int(s) for s in seeds):
         _fail(where, "'seeds' must be a non-empty list of integers")
     if len(set(seeds)) != len(seeds):
         _fail(where, "'seeds' must not repeat")
@@ -163,11 +174,11 @@ def _validate_config(raw: dict, where: str) -> ExperimentConfig:
         _fail(where, "'output_dir' must be a non-empty string")
 
     noise = raw.get("noise", DEFAULT_NOISE_HIGH)
-    if not isinstance(noise, (int, float)) or noise < 0:
+    if not _is_finite_number(noise) or noise < 0:
         _fail(where, "'noise' must be a number >= 0")
 
     boxmin_max_iters = raw.get("boxmin_max_iters", 20)
-    if not isinstance(boxmin_max_iters, int) or boxmin_max_iters < 1:
+    if not _is_int(boxmin_max_iters) or boxmin_max_iters < 1:
         _fail(where, "'boxmin_max_iters' must be a positive integer")
 
     return ExperimentConfig(
@@ -191,6 +202,8 @@ def _parse_space(entries, where: str) -> SearchSpace:
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or set(entry) != {"kind", "lower", "upper"}:
             _fail(where, f"space[{i}]: need exactly the keys kind, lower, upper")
+        if not (_is_finite_number(entry["lower"]) and _is_finite_number(entry["upper"])):
+            _fail(where, f"space[{i}]: 'lower' and 'upper' must be finite numbers")
         specs.append(VariableSpec(entry["kind"], entry["lower"], entry["upper"]))
     try:
         return SearchSpace(tuple(specs))
@@ -207,7 +220,7 @@ def _parse_objective(entry, where: str) -> dict:
     if extra:
         _fail(where, f"'objective' has unknown keys {sorted(extra)}")
     scale = entry.get("scale", 1.0)
-    if not isinstance(scale, (int, float)) or scale <= 0:
+    if not _is_finite_number(scale) or scale <= 0:
         _fail(where, "'objective.scale' must be a positive number")
     return {"name": entry["name"], "scale": float(scale)}
 

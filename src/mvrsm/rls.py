@@ -6,7 +6,10 @@ coefficients equal the batch ridge solution
     c = c0 + (Phi^T Phi + lam I)^{-1} Phi^T (y - Phi c0)
 
 up to floating point, with unit forgetting (all rows weighted equally).
-Cost per update is O(M^2) in the number of basis functions M.
+The covariance (Phi^T Phi + lam I)^{-1} takes a symmetric rank-one
+downdate per observation, applied in place a block of rows at a time:
+O(M^2) time per update in the number of basis functions M, M^2 floats of
+state, and no M x M temporaries.
 """
 
 from __future__ import annotations
@@ -16,6 +19,9 @@ import numpy as np
 from .errors import DimensionMismatchError, NonFiniteError, NonPositiveLambdaError
 
 __all__ = ["RecursiveLeastSquares"]
+
+# rows of the covariance downdated per step; bounds the temporary to this many rows
+_BLOCK_ROWS = 64
 
 
 class RecursiveLeastSquares:
@@ -47,11 +53,13 @@ class RecursiveLeastSquares:
             raise NonFiniteError("non-finite observation fed to the least squares update")
 
         cov_phi = self.cov @ phi
-        gain = cov_phi / (1.0 + phi @ cov_phi)
+        denom = 1.0 + phi @ cov_phi
+        gain = cov_phi / denom
         self.coeffs += gain * (y - phi @ self.coeffs)
-        # rank-one downdate, then exact re-symmetrization to stop drift
-        self.cov -= np.outer(gain, cov_phi)
-        self.cov = (self.cov + self.cov.T) / 2.0
+        # cov -= u u^T: u_i * u_j == u_j * u_i exactly, so cov stays bit-symmetric
+        u = cov_phi / np.sqrt(denom)
+        for i in range(0, len(u), _BLOCK_ROWS):
+            self.cov[i : i + _BLOCK_ROWS] -= np.outer(u[i : i + _BLOCK_ROWS], u)
         self.n_updates += 1
         if not np.all(np.isfinite(self.coeffs)):
             raise NonFiniteError("least squares state became non-finite")

@@ -78,6 +78,13 @@ def test_top_level_must_be_object(tmp_path):
         ({"output_dir": ""}, "'output_dir'"),
         ({"noise": -1e-9}, "'noise'"),
         ({"boxmin_max_iters": 0}, "'boxmin_max_iters'"),
+        # JSON true/false load as bool, a subclass of int; json.loads accepts NaN
+        ({"budget": True}, "'budget' must be a positive integer"),
+        ({"init_samples": True}, "'init_samples' must be a positive integer"),
+        ({"seeds": [False, True]}, "'seeds'"),
+        ({"noise": False}, "'noise'"),
+        ({"noise": float("nan")}, "'noise'"),
+        ({"boxmin_max_iters": True}, "'boxmin_max_iters'"),
     ],
 )
 def test_invalid_configs_rejected(tmp_path, mutation, fragment):
@@ -128,6 +135,9 @@ def test_custom_space_and_objective_parse(tmp_path):
         ([{"kind": "integer", "lower": 0}], r"space\[0\]"),
         ([{"kind": "integer", "lower": 0, "upper": 4, "step": 2}], r"space\[0\]"),
         ([{"kind": "integer", "lower": 5, "upper": 0}], "invalid space"),
+        ([{"kind": "integer", "lower": False, "upper": True}], r"space\[0\].*finite numbers"),
+        ([{"kind": "integer", "lower": "0", "upper": 4}], r"space\[0\].*finite numbers"),
+        ([{"kind": "continuous", "lower": 0.0, "upper": float("inf")}], "finite numbers"),
     ],
 )
 def test_bad_space_entries(tmp_path, space, fragment):
@@ -149,6 +159,8 @@ def test_bad_space_entries(tmp_path, space, fragment):
         ({"name": "sphere"}, "unknown objective"),
         ({"name": "ackley", "shift": 1}, "unknown keys"),
         ({"name": "rosenbrock", "scale": 0}, "positive number"),
+        ({"name": "rosenbrock", "scale": True}, "positive number"),
+        ({"name": "rosenbrock", "scale": float("inf")}, "positive number"),
     ],
 )
 def test_bad_objective_entries(tmp_path, objective, fragment):

@@ -7,15 +7,19 @@ against that oracle on random problems, on top of the closed-form single-step
 cases.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from mvrsm.driver import MvrsmOptimizer, OptimizerConfig
 from mvrsm.errors import (
     DimensionMismatchError,
     NonFiniteError,
     NonPositiveLambdaError,
 )
-from mvrsm.rls import RecursiveLeastSquares
+from mvrsm.objectives import make_benchmark
+from mvrsm.rls import _BLOCK_ROWS, RecursiveLeastSquares
 
 
 def ridge_oracle(c0, lam, phi_rows, ys):
@@ -121,3 +125,56 @@ def test_non_finite_inputs_rejected():
         fit.update(np.array([np.nan, 0.0]), 1.0)
     with pytest.raises(NonFiniteError):
         fit.update(np.zeros(2), np.inf)
+
+
+@pytest.mark.parametrize("m", [1, _BLOCK_ROWS, 150, 200])
+def test_blocked_downdate_equals_unblocked_rank_one_downdate(m):
+    rng = np.random.default_rng(m)
+    fit = RecursiveLeastSquares(np.zeros(m), lam=1e-8)
+    for _ in range(3):
+        fit.update(rng.normal(size=m), float(rng.normal()))
+    phi = rng.normal(size=m)
+    cov_phi = fit.cov @ phi
+    u = cov_phi / np.sqrt(1.0 + phi @ cov_phi)
+    want = fit.cov - np.outer(u, u)
+    fit.update(phi, 1.0)
+    assert np.array_equal(fit.cov, want)
+    assert np.array_equal(fit.cov, fit.cov.T)
+
+
+def test_update_allocates_no_square_temporary():
+    # numpy reports its buffers to tracemalloc; allow an eighth of one M x M array
+    m = 1500
+    rng = np.random.default_rng(0)
+    fit = RecursiveLeastSquares(np.zeros(m), lam=1e-8)
+    phi = rng.normal(size=m)
+    tracemalloc.start()
+    try:
+        fit.update(phi, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < m * m * np.dtype(float).itemsize / 8
+
+
+@pytest.mark.parametrize("name, budget", [("ackley53", 224), ("rosenbrock10", 500)])
+def test_fit_tracks_ridge_oracle_at_benchmark_size(name, budget):
+    """The online fit inside a real run (M = 525 and 221) predicts what the
+    dense ridge solve predicts. Raw coefficients are not compared: at
+    lambda = 1e-8 they are weakly determined."""
+    space, objective = make_benchmark(name, rng=np.random.default_rng([0, 1]))
+    opt = MvrsmOptimizer(space, OptimizerConfig(budget=budget, rng_seed=0))
+    c0 = opt.model.coeffs.copy()
+    rows, ys = [], []
+    for _ in range(budget):
+        point = opt.ask()
+        y = objective(point)
+        rows.append(opt.model.features(point.flatten()))
+        ys.append(y)
+        opt.tell(point, y)
+    phi, y = np.array(rows), np.array(ys)
+    fit = opt.model.rls
+    want = ridge_oracle(c0, fit.lam, phi, y)
+    assert np.max(np.abs(phi @ fit.coeffs - phi @ want)) <= 1e-4 * np.max(np.abs(y))
+    assert np.array_equal(fit.cov, fit.cov.T)
+    assert np.linalg.eigvalsh(fit.cov).min() > 0.0
