@@ -245,7 +245,10 @@ def run_experiment(config: ExperimentConfig, out=None) -> dict:
     """Execute all (algorithm, seed) runs, write traces and a summary.
 
     A run whose objective fails is recorded and skipped; the other runs
-    still execute. Returns {'traces': paths, 'summary': path, 'failures': [...]}.
+    still execute. The evaluations it made before failing, if any, are
+    written to ``<algo>_seed<seed>.csv.failed``, which each failure entry
+    names under ``trace`` (None when nothing was evaluated). Returns
+    {'traces': paths, 'summary': path, 'failures': [...]}.
     """
     out = sys.stdout if out is None else out
     out_dir = Path(os.environ.get(OUTPUT_DIR_ENV) or config.output_dir)
@@ -281,8 +284,15 @@ def run_experiment(config: ExperimentConfig, out=None) -> dict:
             try:
                 trace = ALGORITHMS[algo](objective, space, run_config)
             except ObjectiveFailureError as exc:
-                failures.append({"algo": algo, "seed": seed, "error": str(exc)})
-                print(f"FAILED {algo} seed {seed}: {exc}", file=out)
+                # keep the evaluations made before the failure; the name ends
+                # in .failed so the *_seed*.csv summarize glob skips it
+                partial = None
+                if exc.trace is not None and exc.trace.records:
+                    partial = out_dir / f"{algo}_seed{seed}.csv.failed"
+                    _atomic_write(partial, exc.trace.write_csv)
+                failures.append({"algo": algo, "seed": seed, "error": str(exc), "trace": partial})
+                kept = f" (partial trace in {partial})" if partial else ""
+                print(f"FAILED {algo} seed {seed}: {exc}{kept}", file=out)
                 continue
             _atomic_write(path, trace.write_csv)
             trace_paths.append(path)

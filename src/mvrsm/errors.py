@@ -7,6 +7,7 @@ __all__ = [
     "EmptySpaceError",
     "InvertedBoundsError",
     "NonIntegerBoundError",
+    "NonNumericBoundError",
     "NoIntegerVariablesError",
     "DimensionMismatchError",
     "EmptyDirectionSetError",
@@ -45,6 +46,14 @@ class NonIntegerBoundError(MvrsmError, ValueError):
     def __init__(self, index: int, value: float):
         self.index = index
         super().__init__(f"variable {index}: integer bound {value!r} is not integral")
+
+
+class NonNumericBoundError(MvrsmError, TypeError):
+    """A bound is not a real number; booleans do not count as numbers."""
+
+    def __init__(self, index: int, value):
+        self.index = index
+        super().__init__(f"variable {index}: bound {value!r} is not a real number")
 
 
 class NoIntegerVariablesError(MvrsmError, ValueError):

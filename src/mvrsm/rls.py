@@ -6,10 +6,16 @@ coefficients equal the batch ridge solution
     c = c0 + (Phi^T Phi + lam I)^{-1} Phi^T (y - Phi c0)
 
 up to floating point, with unit forgetting (all rows weighted equally).
-The covariance (Phi^T Phi + lam I)^{-1} takes a symmetric rank-one
-downdate per observation, applied in place a block of rows at a time:
-O(M^2) time per update in the number of basis functions M, M^2 floats of
-state, and no M x M temporaries.
+The covariance P = (Phi^T Phi + lam I)^{-1} takes a symmetric rank-one
+downdate P -= u u^T per observation, u = P phi / sqrt(1 + phi^T P phi).
+
+While fewer than M observations (M basis functions) have arrived, P is kept
+factored as I/lam - U^T U, where U stacks the n downdate vectors seen so far:
+O(nM) time per update and nM floats of state. When the M-th observation has
+been folded in, the stack is multiplied out once into the dense M x M matrix,
+and every later update downdates that matrix in place a block of rows at a
+time: O(M^2) time, M^2 floats, and no M x M temporaries. At n = M the two
+forms cost the same per update, and U is as large as the matrix it stands for.
 """
 
 from __future__ import annotations
@@ -38,8 +44,24 @@ class RecursiveLeastSquares:
         if self.coeffs.ndim != 1:
             raise DimensionMismatchError("prior coefficients must be a vector")
         self.lam = float(lam)
-        self.cov = np.eye(len(self.coeffs)) / self.lam
         self.n_updates = 0
+        # before the fold: rows [0, n_updates) hold U, the rest is spare capacity
+        self._downdates = np.empty((0, len(self.coeffs)))
+        self._dense_cov = None
+
+    @property
+    def cov(self) -> np.ndarray:
+        """The covariance (Phi^T Phi + lam I)^{-1}, read-only.
+
+        Before the fold this multiplies out I/lam - U^T U, an M x M array;
+        the fit itself never needs it.
+        """
+        if self._dense_cov is None:
+            cov = self._multiply_out()
+        else:
+            cov = self._dense_cov.view()
+        cov.flags.writeable = False
+        return cov
 
     def update(self, phi, y: float) -> None:
         """Fold one observation (features phi, response y) into the fit."""
@@ -52,14 +74,41 @@ class RecursiveLeastSquares:
         if not (np.isfinite(y) and np.all(np.isfinite(phi))):
             raise NonFiniteError("non-finite observation fed to the least squares update")
 
-        cov_phi = self.cov @ phi
+        if self._dense_cov is None and self.n_updates == len(self.coeffs):
+            self._dense_cov = self._multiply_out()
+            self._downdates = None
+        if self._dense_cov is None:
+            u_rows = self._downdates[: self.n_updates]
+            cov_phi = phi / self.lam - u_rows.T @ (u_rows @ phi)
+        else:
+            cov_phi = self._dense_cov @ phi
         denom = 1.0 + phi @ cov_phi
         gain = cov_phi / denom
         self.coeffs += gain * (y - phi @ self.coeffs)
-        # cov -= u u^T: u_i * u_j == u_j * u_i exactly, so cov stays bit-symmetric
         u = cov_phi / np.sqrt(denom)
-        for i in range(0, len(u), _BLOCK_ROWS):
-            self.cov[i : i + _BLOCK_ROWS] -= np.outer(u[i : i + _BLOCK_ROWS], u)
+        if self._dense_cov is None:
+            self._append_downdate(u)
+        else:
+            # cov -= u u^T: u_i * u_j == u_j * u_i exactly, so cov stays bit-symmetric
+            for i in range(0, len(u), _BLOCK_ROWS):
+                self._dense_cov[i : i + _BLOCK_ROWS] -= np.outer(u[i : i + _BLOCK_ROWS], u)
         self.n_updates += 1
         if not np.all(np.isfinite(self.coeffs)):
             raise NonFiniteError("least squares state became non-finite")
+
+    def _append_downdate(self, u: np.ndarray) -> None:
+        capacity = len(self._downdates)
+        if self.n_updates == capacity:
+            # double, capped at M rows: U is never larger than the dense covariance
+            grown = np.empty((min(max(2 * capacity, 1), len(u)), len(u)))
+            grown[:capacity] = self._downdates
+            self._downdates = grown
+        self._downdates[self.n_updates] = u
+
+    def _multiply_out(self) -> np.ndarray:
+        """I/lam - U^T U as a new M x M array, exactly symmetric."""
+        u_rows = self._downdates[: self.n_updates]
+        cov = u_rows.T @ u_rows  # numpy computes a.T @ a as a symmetric product
+        np.negative(cov, out=cov)
+        cov.flat[:: len(cov) + 1] += 1.0 / self.lam
+        return cov

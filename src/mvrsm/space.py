@@ -9,6 +9,8 @@ values appearing inside the inner minimizer are representable.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Literal
@@ -20,6 +22,7 @@ from .errors import (
     EmptySpaceError,
     InvertedBoundsError,
     NonIntegerBoundError,
+    NonNumericBoundError,
     NoIntegerVariablesError,
 )
 
@@ -76,7 +79,15 @@ class SearchSpace:
         for i, v in enumerate(self.variables):
             if v.kind not in ("continuous", "integer"):
                 raise ValueError(f"variable {i}: unknown kind {v.kind!r}")
-            if not (np.isfinite(v.lower) and np.isfinite(v.upper)):
+            for bound in (v.lower, v.upper):
+                # bool is an int subclass; numpy's bool_ is not a numbers.Real
+                if not isinstance(bound, numbers.Real) or isinstance(bound, bool):
+                    raise NonNumericBoundError(i, bound)
+            try:
+                finite = math.isfinite(v.lower) and math.isfinite(v.upper)
+            except OverflowError:  # an int beyond the float range
+                finite = False
+            if not finite:
                 raise InvertedBoundsError(i, v.lower, v.upper)
             if v.lower > v.upper:
                 raise InvertedBoundsError(i, v.lower, v.upper)

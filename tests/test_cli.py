@@ -257,6 +257,39 @@ def test_failed_runs_are_skipped_and_exit_two(tmp_path, monkeypatch, capsys):
     assert "FAILED mvrsm seed 0" in printed
     # the healthy algorithm still ran
     assert (tmp_path / "out" / "rs_seed0.csv").exists()
+    # an empty partial trace leaves no file behind
+    assert not list((tmp_path / "out").glob("*.failed"))
+
+
+def test_failed_run_keeps_its_partial_trace_out_of_the_summary(tmp_path, monkeypatch, capsys):
+    run_mvrsm = cli.ALGORITHMS["mvrsm"]
+
+    def fails_on_sixth_evaluation(objective, space, config):
+        calls = []
+
+        def flaky(point):
+            calls.append(point)
+            if len(calls) == 6:
+                raise RuntimeError("sensor offline")
+            return objective(point)
+
+        return run_mvrsm(flaky, space, config)
+
+    monkeypatch.setitem(cli.ALGORITHMS, "mvrsm", fails_on_sixth_evaluation)
+    result = run_experiment(load_config(write_config(tmp_path, base_config(tmp_path, seeds=[0]))))
+    out_dir = tmp_path / "out"
+    partial = out_dir / "mvrsm_seed0.csv.failed"
+    [failure] = result["failures"]
+    assert failure["trace"] == partial
+    assert f"partial trace in {partial}" in capsys.readouterr().out
+    kept = read_trace_csv(partial)
+    assert kept["best_y"].shape == (5,)
+    assert result["traces"] == [out_dir / "rs_seed0.csv"]
+    # summarize sees only the completed run
+    original = (out_dir / "summary.csv").read_text()
+    summarize_directory(out_dir)
+    assert (out_dir / "summary.csv").read_text() == original
+    assert {row.split(",")[1] for row in original.splitlines()[1:]} == {"rs"}
 
 
 def test_all_runs_failed_leaves_header_only_summary(tmp_path, monkeypatch):

@@ -4,7 +4,12 @@ The reference implementation ("what the numbers should be") is a dense ridge
 solve: after seeing rows Phi and targets y, the coefficients must equal
 c0 + (Phi^T Phi + lambda I)^{-1} Phi^T (y - Phi c0). The recursion is checked
 against that oracle on random problems, on top of the closed-form single-step
-cases.
+cases. With fewer rows than coefficients the same solution is computed in
+dual form, c0 + Phi^T (Phi Phi^T + lambda I)^{-1} (y - Phi c0), an n x n solve.
+
+The fit keeps its covariance factored until M observations have arrived and
+multiplies it out into a dense matrix at the next update (the fold), so the
+tests below check both phases and the step between them.
 """
 
 import tracemalloc
@@ -29,6 +34,14 @@ def ridge_oracle(c0, lam, phi_rows, ys):
     m = phi.shape[1]
     resid = y - phi @ c0
     return c0 + np.linalg.solve(phi.T @ phi + lam * np.eye(m), phi.T @ resid)
+
+
+def dual_ridge_oracle(c0, lam, phi_rows, ys):
+    """The same solution from an n x n solve; well posed when n < m."""
+    phi = np.asarray(phi_rows, dtype=float)
+    y = np.asarray(ys, dtype=float)
+    n = phi.shape[0]
+    return c0 + phi.T @ np.linalg.solve(phi @ phi.T + lam * np.eye(n), y - phi @ c0)
 
 
 def test_oracle_recovers_exact_coefficients_without_noise():
@@ -85,6 +98,23 @@ def test_matches_ridge_oracle_on_random_problems():
         assert np.linalg.norm(fit.coeffs - want) <= 1e-6 * max(np.linalg.norm(want), 1.0)
 
 
+@pytest.mark.parametrize("regime", ["before_fold", "at_fold"])
+def test_matches_dual_ridge_oracle_with_at_most_m_rows(regime):
+    # n < m never folds; n == m is the last update before the fold
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        m = int(rng.integers(2, 21))
+        n = int(rng.integers(1, m)) if regime == "before_fold" else m
+        c0 = rng.normal(size=m)
+        phi = rng.normal(size=(n, m))
+        y = rng.normal(size=n)
+        fit = RecursiveLeastSquares(c0.copy(), lam=1e-8)
+        for row, target in zip(phi, y):
+            fit.update(row, target)
+        want = dual_ridge_oracle(c0, 1e-8, phi, y)
+        assert np.linalg.norm(fit.coeffs - want) <= 1e-6 * max(np.linalg.norm(want), 1.0)
+
+
 def test_data_order_barely_matters():
     rng = np.random.default_rng(3)
     phi = rng.normal(size=(30, 6))
@@ -131,7 +161,8 @@ def test_non_finite_inputs_rejected():
 def test_blocked_downdate_equals_unblocked_rank_one_downdate(m):
     rng = np.random.default_rng(m)
     fit = RecursiveLeastSquares(np.zeros(m), lam=1e-8)
-    for _ in range(3):
+    # past m updates the covariance has been folded into the dense matrix
+    for _ in range(m + 3):
         fit.update(rng.normal(size=m), float(rng.normal()))
     phi = rng.normal(size=m)
     cov_phi = fit.cov @ phi
@@ -147,6 +178,9 @@ def test_update_allocates_no_square_temporary():
     m = 1500
     rng = np.random.default_rng(0)
     fit = RecursiveLeastSquares(np.zeros(m), lam=1e-8)
+    # fold first (at update m + 1), so the traced update is a dense downdate
+    for _ in range(m + 1):
+        fit.update(rng.normal(size=m), 0.0)
     phi = rng.normal(size=m)
     tracemalloc.start()
     try:
@@ -157,13 +191,61 @@ def test_update_allocates_no_square_temporary():
     assert peak < m * m * np.dtype(float).itemsize / 8
 
 
-@pytest.mark.parametrize("name, budget", [("ackley53", 224), ("rosenbrock10", 500)])
-def test_fit_tracks_ridge_oracle_at_benchmark_size(name, budget):
-    """The online fit inside a real run (M = 525 and 221) predicts what the
-    dense ridge solve predicts. Raw coefficients are not compared: at
+def test_construction_and_few_updates_allocate_no_square_matrix():
+    # rosenbrock238's basis size and budget; allow an eighth of one M x M array
+    m = 6629
+    rng = np.random.default_rng(0)
+    rows = rng.normal(size=(8, m))
+    tracemalloc.start()
+    try:
+        fit = RecursiveLeastSquares(np.zeros(m), lam=1e-8)
+        for row in rows:
+            fit.update(row, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fit.n_updates == 8
+    assert peak < m * m * np.dtype(float).itemsize / 8
+
+
+@pytest.mark.parametrize("m", [1, 30])
+def test_fold_keeps_the_covariance_symmetric_definite_and_the_fit_exact(m):
+    rng = np.random.default_rng(m)
+    c0 = rng.normal(size=m)
+    phi = rng.normal(size=(m + 1, m))
+    y = rng.normal(size=m + 1)
+    fit = RecursiveLeastSquares(c0.copy(), lam=1e-8)
+    for row, target in zip(phi[:m], y[:m]):
+        fit.update(row, target)
+    factored = fit.cov.copy()
+    # a zero row downdates by zero, so this update leaves exactly the folded matrix
+    fit.update(np.zeros(m), 0.0)
+    folded = fit.cov
+    assert np.array_equal(folded, factored)
+    assert np.array_equal(folded, folded.T)
+    assert np.linalg.eigvalsh(folded).min() > 0.0
+    fit.update(phi[m], y[m])
+    assert np.array_equal(fit.cov, fit.cov.T)
+    assert np.linalg.eigvalsh(fit.cov).min() > 0.0
+    want = ridge_oracle(c0, 1e-8, phi, y)
+    assert np.max(np.abs(phi @ fit.coeffs - phi @ want)) <= 1e-6 * np.max(np.abs(y))
+
+
+@pytest.mark.parametrize(
+    "name, budget, init_samples",
+    [
+        pytest.param("ackley53", 224, 24, id="ackley53-224"),
+        pytest.param("rosenbrock10", 500, 24, id="rosenbrock10-500"),
+        pytest.param("rosenbrock238", 8, 4, id="rosenbrock238-8"),
+    ],
+)
+def test_fit_tracks_ridge_oracle_at_benchmark_size(name, budget, init_samples):
+    """The online fit inside a real run (M = 525, 221 and 6629) predicts what
+    the batch ridge solve predicts. Raw coefficients are not compared: at
     lambda = 1e-8 they are weakly determined."""
     space, objective = make_benchmark(name, rng=np.random.default_rng([0, 1]))
-    opt = MvrsmOptimizer(space, OptimizerConfig(budget=budget, rng_seed=0))
+    config = OptimizerConfig(budget=budget, init_samples=init_samples, rng_seed=0)
+    opt = MvrsmOptimizer(space, config)
     c0 = opt.model.coeffs.copy()
     rows, ys = [], []
     for _ in range(budget):
@@ -174,7 +256,12 @@ def test_fit_tracks_ridge_oracle_at_benchmark_size(name, budget):
         opt.tell(point, y)
     phi, y = np.array(rows), np.array(ys)
     fit = opt.model.rls
-    want = ridge_oracle(c0, fit.lam, phi, y)
+    # at M = 6629 the primal solve and the multiplied-out cov would each take
+    # 350 MB, so rosenbrock238 checks predictions against the dual solve only
+    large = name == "rosenbrock238"
+    want = (dual_ridge_oracle if large else ridge_oracle)(c0, fit.lam, phi, y)
     assert np.max(np.abs(phi @ fit.coeffs - phi @ want)) <= 1e-4 * np.max(np.abs(y))
+    if large:
+        return
     assert np.array_equal(fit.cov, fit.cov.T)
     assert np.linalg.eigvalsh(fit.cov).min() > 0.0

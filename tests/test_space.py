@@ -9,8 +9,10 @@ from mvrsm.errors import (
     DimensionMismatchError,
     EmptySpaceError,
     InvertedBoundsError,
+    MvrsmError,
     NoIntegerVariablesError,
     NonIntegerBoundError,
+    NonNumericBoundError,
 )
 from mvrsm.space import MixedPoint, SearchSpace, VariableSpec, round_half_away
 
@@ -70,6 +72,26 @@ def test_inverted_bounds_rejected():
 def test_non_finite_bounds_rejected():
     with pytest.raises(InvertedBoundsError):
         SearchSpace((VariableSpec("integer", 0, np.inf),))
+
+
+@pytest.mark.parametrize("kind", ["continuous", "integer"])
+@pytest.mark.parametrize(
+    "lower, upper, error",
+    [
+        pytest.param("0", 4, NonNumericBoundError, id="string-lower"),
+        pytest.param(0, "4", NonNumericBoundError, id="string-upper"),
+        pytest.param(False, True, NonNumericBoundError, id="bool"),
+        pytest.param(0, np.True_, NonNumericBoundError, id="numpy-bool"),
+        pytest.param(np.nan, 4, InvertedBoundsError, id="nan-lower"),
+        pytest.param(0, np.nan, InvertedBoundsError, id="nan-upper"),
+        pytest.param(0, 10**400, InvertedBoundsError, id="int-beyond-float"),
+    ],
+)
+def test_malformed_bound_rejected_with_its_index(kind, lower, upper, error):
+    with pytest.raises(error) as err:
+        SearchSpace((VariableSpec("integer", 0, 1), VariableSpec(kind, lower, upper)))
+    assert isinstance(err.value, MvrsmError)
+    assert err.value.index == 1
 
 
 def test_non_integer_bound_rejected():
