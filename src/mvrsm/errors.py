@@ -33,11 +33,16 @@ class EmptySpaceError(MvrsmError, ValueError):
 
 
 class InvertedBoundsError(MvrsmError, ValueError):
-    """lower > upper for some variable."""
+    """A variable's bounds are not a finite interval: lower > upper, or a
+    bound is not finite (infinite, NaN, or an int beyond the float range).
 
-    def __init__(self, index: int, lower: float, upper: float):
+    ``reason`` replaces the default "lower > upper" message when the bounds
+    are not finite, so the message names the bound at fault.
+    """
+
+    def __init__(self, index: int, lower: float, upper: float, reason: str | None = None):
         self.index = index
-        super().__init__(f"variable {index}: lower {lower!r} > upper {upper!r}")
+        super().__init__(f"variable {index}: {reason or f'lower {lower!r} > upper {upper!r}'}")
 
 
 class NonIntegerBoundError(MvrsmError, ValueError):

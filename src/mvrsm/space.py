@@ -83,12 +83,15 @@ class SearchSpace:
                 # bool is an int subclass; numpy's bool_ is not a numbers.Real
                 if not isinstance(bound, numbers.Real) or isinstance(bound, bool):
                     raise NonNumericBoundError(i, bound)
-            try:
-                finite = math.isfinite(v.lower) and math.isfinite(v.upper)
-            except OverflowError:  # an int beyond the float range
-                finite = False
-            if not finite:
-                raise InvertedBoundsError(i, v.lower, v.upper)
+            for name, bound in (("lower", v.lower), ("upper", v.upper)):
+                try:
+                    finite = math.isfinite(bound)
+                except OverflowError:  # an int beyond the float range
+                    finite, bound = False, f"(an int of {len(str(abs(bound)))} digits)"
+                if not finite:
+                    raise InvertedBoundsError(
+                        i, v.lower, v.upper, f"{name} bound {bound} is not finite"
+                    )
             if v.lower > v.upper:
                 raise InvertedBoundsError(i, v.lower, v.upper)
             if v.kind == "integer":

@@ -58,14 +58,25 @@ RandomStream = np.random.Generator
 
 REGULARISER = 1e-8  # ridge strength for the coefficient fit
 
+# Points whose pre-activations a model keeps: box descent alternates between
+# its iterate and one line-search trial, and an accepted trial becomes the
+# next iterate.
+_MEMO_POINTS = 2
+
 
 @dataclass
 class ReluSurrogate:
     """The fitted model: unit rows are frozen after construction, coefficients are not.
 
     Row k of ``weights`` (block layout [continuous; integer]) and ``biases[k]``
-    define unit k. ``coeffs`` is shared with the attached least squares state
-    (when one is attached), so updates through either view are seen by both.
+    define unit k. The model owns its unit rows: both arrays are made
+    read-only, without a copy, when they are set. The pre-activations
+    z = weights @ x + biases do not depend on the coefficients, so they are
+    computed once per point and kept for the two most recently used points
+    (the descent's iterate and its line-search trial); assigning new
+    ``weights`` or ``biases`` forgets them. ``coeffs`` is shared with the
+    attached least squares state (when one is attached), so updates through
+    either view are seen by both.
     """
 
     weights: np.ndarray
@@ -73,9 +84,15 @@ class ReluSurrogate:
     coeffs: np.ndarray
     rls: RecursiveLeastSquares | None = None
 
+    def __setattr__(self, name, value):
+        if name in ("weights", "biases"):
+            value = np.asanyarray(value, dtype=float)
+            value.flags.writeable = False
+            # keyed on coordinate bytes, oldest first
+            object.__setattr__(self, "_z_memo", {})
+        object.__setattr__(self, name, value)
+
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float)
-        self.biases = np.asarray(self.biases, dtype=float)
         self.coeffs = np.asarray(self.coeffs, dtype=float)
         m = len(self.biases)
         if self.weights.ndim != 2 or len(self.weights) != m or len(self.coeffs) != m:
@@ -100,18 +117,30 @@ class ReluSurrogate:
             raise DimensionMismatchError(f"point of shape {x.shape}, model dim {self.dim}")
         return x
 
+    def _preactivation(self, x) -> np.ndarray:
+        """Read-only z = weights @ x + biases, remembered for the last two points used."""
+        x = self._coords(x)
+        memo = self._z_memo
+        key = x.tobytes()
+        z = memo.pop(key, None)
+        if z is None:
+            z = self.weights @ x + self.biases
+            z.flags.writeable = False
+            if len(memo) == _MEMO_POINTS:
+                del memo[next(iter(memo))]
+        memo[key] = z
+        return z
+
     def features(self, x) -> np.ndarray:
         """Unit activations phi_k(x) = max(0, w_k . x + b_k)."""
-        x = self._coords(x)
-        return np.maximum(self.weights @ x + self.biases, 0.0)
+        return np.maximum(self._preactivation(x), 0.0)
 
     def value(self, x) -> float:
         return float(self.coeffs @ self.features(x))
 
     def gradient(self, x) -> np.ndarray:
         """Subgradient sum_k c_k s(z_k) w_k with s = 1 above the kink, 0 below, 1/2 at it."""
-        x = self._coords(x)
-        z = self.weights @ x + self.biases
+        z = self._preactivation(x)
         slope = np.where(z > 0.0, 1.0, np.where(z < 0.0, 0.0, 0.5))
         return self.weights.T @ (self.coeffs * slope)
 
@@ -126,13 +155,12 @@ class ReluSurrogate:
         direction that is actually uphill; line searches should trust this
         value instead.
         """
-        x = self._coords(x)
+        z = self._preactivation(x)
         direction = np.asarray(direction, dtype=float)
         if direction.shape != (self.dim,):
             raise DimensionMismatchError(
                 f"direction of shape {direction.shape}, model dim {self.dim}"
             )
-        z = self.weights @ x + self.biases
         rate = self.weights @ direction
         slope = np.where(z > 0.0, rate, 0.0)
         at_kink = z == 0.0
@@ -147,8 +175,7 @@ class ReluSurrogate:
         to find a usable coordinate move when quasi-Newton directions fail at
         a kink point.
         """
-        x = self._coords(x)
-        z = self.weights @ x + self.biases
+        z = self._preactivation(x)
         active = self.coeffs * (z > 0.0)
         base = self.weights.T @ active
         kink = z == 0.0

@@ -5,6 +5,7 @@ import pytest
 
 from mvrsm.boxmin import BoxMinConfig, BoxMinResult, minimize
 from mvrsm.errors import NonFiniteError
+from mvrsm.objectives import make_benchmark
 from mvrsm.space import MixedPoint, SearchSpace, VariableSpec
 from mvrsm.surrogate import ReluSurrogate, build_surrogate
 
@@ -158,6 +159,52 @@ def test_descends_from_integral_points_of_built_surrogates():
             if not res.value < model.value(p.flatten()):
                 stuck += 1
     assert stuck == 0
+
+
+class CountingProducts(np.ndarray):
+    """Unit rows that log the bytes of every right operand of ``rows @ v``.
+
+    Only the array given a ``log`` counts; its transpose and slices do not.
+    """
+
+    def __matmul__(self, other):
+        log = getattr(self, "log", None)
+        if log is not None:
+            log.append(np.asarray(other).tobytes())
+        return super().__matmul__(other)
+
+
+def test_descent_forms_each_points_preactivations_once():
+    space, objective = make_benchmark("ackley53", rng=np.random.default_rng([0, 1]))
+    rng = np.random.default_rng(0)
+    model = build_surrogate(space, rng)
+    samples = [space.uniform_sample(rng) for _ in range(30)]
+    for p in samples:
+        model.rls.update(model.features(p.flatten()), objective(p))
+    best = min(samples, key=lambda p: model.value(p.flatten()))
+
+    rows = model.weights.view(CountingProducts)
+    rows.log = []
+    model.weights = rows
+    evaluated = set()
+    directional = 0
+    for name in ("features", "value", "gradient", "directional_derivative", "axis_derivatives"):
+        method = getattr(model, name)
+
+        def recording(x, *args, _method=method, _name=name):
+            nonlocal directional
+            evaluated.add(np.asarray(x, dtype=float).tobytes())
+            directional += _name == "directional_derivative"
+            return _method(x, *args)
+
+        setattr(model, name, recording)
+
+    res = minimize(model, space, best)
+    assert res.iterations > 5
+    at_points = [v for v in rows.log if v in evaluated]
+    # w . x + b once per distinct point, plus one w . d per directional derivative
+    assert len(at_points) == len(evaluated) and set(at_points) == evaluated
+    assert len(rows.log) == len(evaluated) + directional
 
 
 def test_non_finite_model_raises():

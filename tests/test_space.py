@@ -74,6 +74,24 @@ def test_non_finite_bounds_rejected():
         SearchSpace((VariableSpec("integer", 0, np.inf),))
 
 
+@pytest.mark.parametrize(
+    "lower, upper, named",
+    [
+        pytest.param(0, np.inf, "upper bound inf", id="inf-upper"),
+        pytest.param(np.nan, 4, "lower bound nan", id="nan-lower"),
+        pytest.param(0, 10**400, "upper bound (an int of 401 digits)", id="int-beyond-float"),
+    ],
+)
+def test_non_finite_bound_message_names_the_bound(lower, upper, named):
+    # the type stays InvertedBoundsError, but the message must not claim an inversion
+    with pytest.raises(InvertedBoundsError) as err:
+        SearchSpace((VariableSpec("continuous", lower, upper), VariableSpec("integer", 0, 1)))
+    message = str(err.value)
+    assert "not finite" in message and named in message
+    assert ">" not in message
+    assert err.value.index == 0
+
+
 @pytest.mark.parametrize("kind", ["continuous", "integer"])
 @pytest.mark.parametrize(
     "lower, upper, error",

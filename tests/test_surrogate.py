@@ -8,6 +8,7 @@ from mvrsm.errors import (
     EmptyDirectionSetError,
     TooLargeError,
 )
+from mvrsm.objectives import make_benchmark
 from mvrsm.space import MixedPoint, SearchSpace, VariableSpec
 from mvrsm.surrogate import (
     ReluSurrogate,
@@ -347,6 +348,65 @@ def test_axis_derivatives_match_unit_vector_calls():
             e[i] = 1.0
             assert up[i] == pytest.approx(model.directional_derivative(x, e), abs=1e-12)
             assert down[i] == pytest.approx(model.directional_derivative(x, -e), abs=1e-12)
+
+
+# -- remembered pre-activations --------------------------------------------------
+
+
+def bits(out):
+    """Exact bytes of a method's result: a float, an array or a pair of arrays."""
+    if isinstance(out, tuple):
+        return tuple(bits(part) for part in out)
+    return np.asarray(out, dtype=float).tobytes()
+
+
+def call(model, method, x, direction):
+    if method == "directional_derivative":
+        return getattr(model, method)(x, direction)
+    return getattr(model, method)(x)
+
+
+def test_remembered_preactivations_give_the_cold_results_bit_for_bit():
+    space, _ = make_benchmark("rosenbrock10")
+    model = build_surrogate(space, np.random.default_rng(30))
+    rng = np.random.default_rng(31)
+    model.coeffs[:] = rng.uniform(-1, 1, model.n_units)
+    integral = space.uniform_sample(rng).flatten()  # many units at their kinks
+    nudged = integral.copy()
+    nudged[-1] += 0.5 if nudged[-1] < space.upper[-1] else -0.5  # differs in one coordinate
+    points = [integral, nudged, space.uniform_sample(rng).flatten()]
+    direction = rng.normal(size=space.dim)
+    methods = ("features", "value", "gradient", "directional_derivative", "axis_derivatives")
+    # revisits, evictions and a coefficient update in between
+    sequence = [(m, p) for p in (0, 0, 1, 0, 2, 1, 1, 2, 0) for m in methods]
+    sequence = sequence[::2] + sequence[1::2] + [("update", 1)] + sequence
+    for method, p in sequence:
+        if method == "update":
+            model.rls.update(model.features(points[p]), 3.0)
+            continue
+        cold = ReluSurrogate(model.weights, model.biases, model.coeffs)
+        warm_out = call(model, method, points[p], direction)
+        assert bits(warm_out) == bits(call(cold, method, points[p], direction)), (method, p)
+
+
+def test_unit_rows_are_read_only():
+    model = build_surrogate(one_cont_two_int(), np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        model.weights[1, 1] = 5.0
+    with pytest.raises(ValueError):
+        model.biases[0] = 2.0
+
+
+@pytest.mark.parametrize("attribute", ["weights", "biases"])
+def test_reassigned_unit_rows_are_used_at_once(attribute):
+    model = build_surrogate(one_cont_two_int(), np.random.default_rng(0))
+    x = np.array([0.3, 1.0, 2.0])
+    before = model.features(x)
+    setattr(model, attribute, getattr(model, attribute) * 2.0)
+    after = model.features(x)
+    assert not np.array_equal(after, before)
+    assert np.array_equal(after, np.maximum(model.weights @ x + model.biases, 0.0))
+    assert not getattr(model, attribute).flags.writeable
 
 
 # -- serialization --------------------------------------------------------------
