@@ -9,16 +9,22 @@ file and says so:
 
     PYTHONPATH=src python3 tests/test_golden_traces.py
 
-Floating-point results depend on the numpy build and its BLAS, so the file
-records both and the test skips, naming the difference, when they differ.
+Floating-point results depend on the numpy build, its BLAS and the BLAS
+thread count. Both the test and the regeneration compute the runs in a child
+with one BLAS thread, the setting the benchmark measures; the file records
+the build and the thread count, and the test skips, naming the difference,
+when the build differs.
 """
 
 import hashlib
 import json
+import os
 import pathlib
 
 import numpy as np
 import pytest
+
+import one_blas_thread
 
 from mvrsm.driver import MvrsmOptimizer, OptimizerConfig
 from mvrsm.objectives import make_benchmark
@@ -43,6 +49,7 @@ def environment() -> dict:
     return {
         "numpy": np.__version__,
         "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")},
+        "blas_threads": int(os.environ["OPENBLAS_NUM_THREADS"]),
     }
 
 
@@ -64,20 +71,29 @@ def trace_record(benchmark, seed, budget, init_samples) -> dict:
     }
 
 
+def record() -> dict:
+    """The environment and every run's record; call it through ``one_blas_thread``."""
+    payload = environment()
+    payload["runs"] = {run_id(*run): trace_record(*run) for run in RUNS}
+    return payload
+
+
 @pytest.fixture(scope="module")
-def golden():
+def runs():
+    """(recorded, computed now) runs, keyed by run id."""
     recorded = json.loads(GOLDEN.read_text())
-    here = environment()
+    now = one_blas_thread.call("test_golden_traces", "record")
     for key in ("numpy", "blas"):
-        if recorded[key] != here[key]:
-            pytest.skip(f"traces recorded with {key} {recorded[key]}, running {here[key]}")
-    return recorded["runs"]
+        if recorded[key] != now[key]:
+            pytest.skip(f"traces recorded with {key} {recorded[key]}, running {now[key]}")
+    assert now["blas_threads"] == recorded["blas_threads"] == 1
+    return recorded["runs"], now["runs"]
 
 
 @pytest.mark.parametrize("run", RUNS, ids=[run_id(*run) for run in RUNS])
-def test_seeded_run_matches_golden_trace(golden, run):
-    expected = golden[run_id(*run)]
-    got = trace_record(*run)
+def test_seeded_run_matches_golden_trace(runs, run):
+    recorded, now = runs
+    expected, got = recorded[run_id(*run)], now[run_id(*run)]
     # values first, so a divergence names the first evaluation that moved
     for i, (e, g) in enumerate(zip(expected["y"], got["y"])):
         assert g == e, f"evaluation {i + 1}: y {float.fromhex(g)!r} != {float.fromhex(e)!r}"
@@ -85,8 +101,7 @@ def test_seeded_run_matches_golden_trace(golden, run):
 
 
 if __name__ == "__main__":
-    payload = environment()
-    payload["runs"] = {run_id(*run): trace_record(*run) for run in RUNS}
+    payload = one_blas_thread.call("test_golden_traces", "record")
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(payload, indent=1) + "\n")
     print(f"wrote {GOLDEN}")
