@@ -138,7 +138,10 @@ def _line_search(model, x, f, direction, alpha, lower, upper, step_tol):
 
     The decrease test compares against the exact one-sided slope along the
     clipped step, so a step that the averaged gradient calls downhill but the
-    model's kink structure makes uphill is rejected at face value.
+    model's kink structure makes uphill is rejected at face value. For any
+    slope below zero, f + c1 * slope rounds to at most f, so a trial whose
+    value rises above f fails the test whatever its slope, and the slope is
+    formed only for trials that do not rise.
     """
     for _ in range(MAX_BACKTRACKS):
         x_new = np.clip(x + alpha * direction, lower, upper)
@@ -148,9 +151,10 @@ def _line_search(model, x, f, direction, alpha, lower, upper, step_tol):
             return None
         f_new = model.value(x_new)
         _check_finite(f_new, None)
-        predicted = model.directional_derivative(x, step)
-        if predicted < 0.0 and f_new <= f + ARMIJO_C1 * predicted:
-            return x_new, f_new, step_norm
+        if f_new <= f:
+            predicted = model.directional_derivative(x, step)
+            if predicted < 0.0 and f_new <= f + ARMIJO_C1 * predicted:
+                return x_new, f_new, step_norm
         alpha *= 0.5
     return None
 

@@ -63,6 +63,11 @@ REGULARISER = 1e-8  # ridge strength for the coefficient fit
 # next iterate.
 _MEMO_POINTS = 2
 
+# Rows per group in OpenBLAS's matrix-vector kernel. Under one BLAS thread a
+# row's dot product depends only on whether the row sits in a full group or in
+# the final len(rows) mod 4 remainder; the distinct-row layout is built on that.
+_GEMV_GROUP = 4
+
 
 @dataclass
 class ReluSurrogate:
@@ -72,11 +77,27 @@ class ReluSurrogate:
     define unit k. The model owns its unit rows: both arrays are made
     read-only, without a copy, when they are set. The pre-activations
     z = weights @ x + biases do not depend on the coefficients, so they are
-    computed once per point and kept for the two most recently used points
-    (the descent's iterate and its line-search trial); assigning new
+    computed once per point and kept for two points (the descent's iterate
+    and its latest line-search trial); assigning new
     ``weights`` or ``biases`` forgets them. ``coeffs`` is shared with the
     attached least squares state (when one is attached), so updates through
     either view are seen by both.
+
+    The forward products weights @ x (pre-activations) and weights @ d
+    (directional rates) are formed from the distinct unit rows: integer units
+    are +-e_i or +-(e_i - e_{i-1}) and mixed units share n_continuous
+    directions, so M = 6629 units have 597 rows. The private ``_rows`` holds
+    them and ``_row_of`` maps each unit to its row, with rows[row_of] ==
+    weights, and weights @ v is (rows @ v)[row_of]. Under one BLAS thread a
+    row's dot product depends only on whether the row sits in a full 4-row
+    kernel group or in the last M mod 4 rows, so the layout keeps every bit:
+    the distinct rows are padded with zero rows to whole groups, the last
+    M mod 4 units get their own copies at the very end, and a row and its
+    negation are stored apart (folding the sign would turn a +0 product into
+    -0). ``build_surrogate`` lays the rows out directly; a hand-built model,
+    or one given new ``weights``, is factored from its rows' bytes on first
+    use. The transpose products of ``gradient`` and ``axis_derivatives`` stay
+    dense, since a structured one would change the order of their sums.
     """
 
     weights: np.ndarray
@@ -88,8 +109,10 @@ class ReluSurrogate:
         if name in ("weights", "biases"):
             value = np.asanyarray(value, dtype=float)
             value.flags.writeable = False
-            # keyed on coordinate bytes, oldest first
+            # keyed on coordinate bytes, oldest first; values are (z, reused)
             object.__setattr__(self, "_z_memo", {})
+            if name == "weights":
+                object.__setattr__(self, "_rows", None)
         object.__setattr__(self, name, value)
 
     def __post_init__(self):
@@ -117,18 +140,34 @@ class ReluSurrogate:
             raise DimensionMismatchError(f"point of shape {x.shape}, model dim {self.dim}")
         return x
 
+    def _forward(self, v: np.ndarray) -> np.ndarray:
+        """weights @ v, formed from the distinct unit rows with the same bits."""
+        if self._rows is None:
+            self._rows, self._row_of = _grouped_rows(*_distinct_rows(self.weights))
+        return (self._rows @ v).take(self._row_of)
+
     def _preactivation(self, x) -> np.ndarray:
-        """Read-only z = weights @ x + biases, remembered for the last two points used."""
+        """Read-only z = weights @ x + biases, remembered for two points.
+
+        When a new point needs room, a point not used again since it was
+        formed (a line-search trial rejected on its value) is forgotten first,
+        otherwise the least recently used one.
+        """
         x = self._coords(x)
         memo = self._z_memo
         key = x.tobytes()
-        z = memo.pop(key, None)
-        if z is None:
-            z = self.weights @ x + self.biases
+        entry = memo.pop(key, None)
+        if entry is None:
+            z = self._forward(x)
+            z += self.biases
             z.flags.writeable = False
             if len(memo) == _MEMO_POINTS:
-                del memo[next(iter(memo))]
-        memo[key] = z
+                unused = (k for k, (_, reused) in memo.items() if not reused)
+                del memo[next(unused, next(iter(memo)))]
+            memo[key] = (z, False)
+        else:
+            z = entry[0]
+            memo[key] = (z, True)
         return z
 
     def features(self, x) -> np.ndarray:
@@ -161,7 +200,7 @@ class ReluSurrogate:
             raise DimensionMismatchError(
                 f"direction of shape {direction.shape}, model dim {self.dim}"
             )
-        rate = self.weights @ direction
+        rate = self._forward(direction)
         slope = np.where(z > 0.0, rate, 0.0)
         at_kink = z == 0.0
         slope[at_kink] = np.maximum(rate[at_kink], 0.0)
@@ -212,26 +251,40 @@ def integer_units(space: SearchSpace) -> tuple[np.ndarray, np.ndarray]:
     Ordering is fixed: constant; single-variable units by variable, then
     threshold, then sign (+ before -); adjacent-pair units likewise.
     """
+    rows, row_of, biases = _integer_block(space)
+    return rows[row_of], biases
+
+
+def _integer_block(space: SearchSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``integer_units`` factored as (distinct rows, row of each unit, biases).
+
+    The rows are the constant unit's zero row, then a + and a - row for
+    each integer variable i (+-e_i) and each adjacent pair (+-(e_i - e_{i-1})).
+    """
     nc, nd = space.n_continuous, space.n_integer
     lo = space.integer_lower.astype(int)
     up = space.integer_upper.astype(int)
-    # one (variable, previous variable or -1, threshold) triple per +/- pair
-    triples = [(i, -1, a) for i in range(nd) for a in range(lo[i], up[i] + 1)]
-    triples += [
-        (i, i - 1, a)
+    # one (p, threshold) per +/- unit pair, whose rows are +-e_p for p < nd
+    # and +-(e_i - e_{i-1}) with i = p - nd + 1 otherwise
+    pairs = [(i, a) for i in range(nd) for a in range(lo[i], up[i] + 1)]
+    pairs += [
+        (nd - 1 + i, a)
         for i in range(1, nd)
         for a in range(lo[i] - up[i - 1], up[i] - lo[i - 1] + 1)
     ]
-    var, prev, thresh = np.repeat(np.array(triples, dtype=int).reshape(-1, 3), 2, axis=0).T
-    sign = np.tile([1.0, -1.0], len(triples))
-
-    weights = np.zeros((1 + len(sign), space.dim))
-    rows = np.arange(1, len(weights))
-    weights[rows, nc + var] = sign
-    paired = prev >= 0
-    weights[rows[paired], nc + prev[paired]] = -sign[paired]
+    p, thresh = np.repeat(np.array(pairs, dtype=int).reshape(-1, 2), 2, axis=0).T
+    sign = np.tile([1.0, -1.0], len(pairs))
+    row_of = np.concatenate([[0], 1 + 2 * p + (sign < 0.0)])
     biases = np.concatenate([[1.0], -sign * thresh])
-    return weights, biases
+
+    var = np.concatenate([np.arange(nd), np.arange(1, nd)])
+    diff = np.arange(nd, len(var))
+    rows = np.zeros((1 + 2 * len(var), space.dim))
+    for first, s in ((1, 1.0), (2, -1.0)):
+        k = first + 2 * np.arange(len(var))
+        rows[k, nc + var] = s
+        rows[k[diff], nc + var[diff] - 1] = -s
+    return rows, row_of, biases
 
 
 def sample_directions(space: SearchSpace, rng: RandomStream) -> np.ndarray:
@@ -271,6 +324,14 @@ def mixed_units(
     Each unit draws its direction index and then its bias from ``rng``.
     """
     directions = np.asarray(directions, dtype=float)
+    picks, biases = _draw_mixed_units(space, directions, count, rng)
+    return directions[picks], biases
+
+
+def _draw_mixed_units(
+    space: SearchSpace, directions: np.ndarray, count: int, rng: RandomStream
+) -> tuple[np.ndarray, np.ndarray]:
+    """``mixed_units`` as (direction index of each unit, biases)."""
     if space.n_continuous >= 1 and len(directions) == 0:
         raise EmptyDirectionSetError(
             "a space with continuous variables needs at least one direction"
@@ -285,7 +346,7 @@ def mixed_units(
         picks[k] = rng.integers(len(directions))
         lo, hi = ranges[picks[k]]
         biases[k] = rng.uniform(-hi, -lo)
-    return directions[picks], biases
+    return picks, biases
 
 
 def build_surrogate(space: SearchSpace, rng: RandomStream) -> ReluSurrogate:
@@ -297,18 +358,51 @@ def build_surrogate(space: SearchSpace, rng: RandomStream) -> ReluSurrogate:
     for the constant and integer units (a separable bowl whose minima sit on
     integer points) and 0 for the mixed units.
     """
-    weights, biases = integer_units(space)
+    rows, row_of, biases = _integer_block(space)
     n_int_units = len(biases) - 1
     n_mixed = 0
     if space.n_continuous > 0:
         directions = sample_directions(space, rng)
         n_mixed = math.ceil(space.n_continuous * n_int_units / space.n_integer)
-        mixed_weights, mixed_biases = mixed_units(space, directions, n_mixed, rng)
-        weights = np.concatenate([weights, mixed_weights])
+        picks, mixed_biases = _draw_mixed_units(space, directions, n_mixed, rng)
+        row_of = np.concatenate([row_of, len(rows) + picks])
+        rows = np.concatenate([rows, directions])
         biases = np.concatenate([biases, mixed_biases])
     coeffs = np.concatenate([np.ones(1 + n_int_units), np.zeros(n_mixed)])
     fit = RecursiveLeastSquares(coeffs, lam=REGULARISER)
-    return ReluSurrogate(weights, biases, fit.coeffs, rls=fit)
+    rows, row_of = _grouped_rows(rows, row_of)
+    model = ReluSurrogate(rows[row_of], biases, fit.coeffs, rls=fit)
+    model._rows, model._row_of = rows, row_of
+    return model
+
+
+def _distinct_rows(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact factorisation weights == rows[row_of]: rows with equal bytes are
+    stored once, in order of first appearance."""
+    index: dict[bytes, int] = {}
+    row_of = np.array(
+        [index.setdefault(row.tobytes(), len(index)) for row in weights], dtype=np.intp
+    )
+    first = np.unique(row_of, return_index=True)[1]
+    return weights[first], row_of
+
+
+def _grouped_rows(rows: np.ndarray, row_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lay out a factorisation so that (rows @ v)[row_of] == weights @ v bit for bit.
+
+    The rows are padded with zero rows to whole kernel groups, and the last
+    M mod 4 units point at their own copies appended after the padding, so
+    each unit's row is in a full group or in the remainder just as in the
+    dense matrix.
+    """
+    m, tail = len(row_of), len(row_of) % _GEMV_GROUP
+    pad = -len(rows) % _GEMV_GROUP
+    grouped = np.concatenate(
+        [rows, np.zeros((pad, rows.shape[1])), rows[row_of[m - tail :]]]
+    )
+    row_of = row_of.copy()
+    row_of[m - tail :] = len(rows) + pad + np.arange(tail)
+    return grouped, row_of
 
 
 # -- exhaustive vertex enumeration (test support) -----------------------------

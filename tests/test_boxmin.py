@@ -2,8 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mvrsm.boxmin import BoxMinConfig, BoxMinResult, minimize
+from mvrsm.boxmin import (
+    ARMIJO_C1,
+    MAX_BACKTRACKS,
+    BoxMinConfig,
+    BoxMinResult,
+    _check_finite,
+    _line_search,
+    minimize,
+)
 from mvrsm.errors import NonFiniteError
 from mvrsm.objectives import make_benchmark
 from mvrsm.space import MixedPoint, SearchSpace, VariableSpec
@@ -183,28 +193,91 @@ def test_descent_forms_each_points_preactivations_once():
         model.rls.update(model.features(p.flatten()), objective(p))
     best = min(samples, key=lambda p: model.value(p.flatten()))
 
-    rows = model.weights.view(CountingProducts)
+    # the forward products are formed on the distinct unit rows
+    rows = model._rows.view(CountingProducts)
     rows.log = []
-    model.weights = rows
+    model._rows = rows
     evaluated = set()
-    directional = 0
+    calls = []
     for name in ("features", "value", "gradient", "directional_derivative", "axis_derivatives"):
         method = getattr(model, name)
 
         def recording(x, *args, _method=method, _name=name):
-            nonlocal directional
             evaluated.add(np.asarray(x, dtype=float).tobytes())
-            directional += _name == "directional_derivative"
+            calls.append(_name)
             return _method(x, *args)
 
         setattr(model, name, recording)
 
     res = minimize(model, space, best)
     assert res.iterations > 5
+    directional = calls.count("directional_derivative")
+    # a line-search trial rejected on its value is followed by the next trial
+    # (``value`` calls ``features`` itself)
+    descent = [name for name in calls if name != "features"]
+    rejected_on_value = sum(a == b == "value" for a, b in zip(descent, descent[1:]))
+    assert rejected_on_value > 0
     at_points = [v for v in rows.log if v in evaluated]
-    # w . x + b once per distinct point, plus one w . d per directional derivative
+    # rows . x once per distinct point, plus one rows . d per directional
+    # derivative formed; a trial rejected on its value forms no rows . d
     assert len(at_points) == len(evaluated) and set(at_points) == evaluated
     assert len(rows.log) == len(evaluated) + directional
+
+
+def reference_line_search(model, x, f, direction, alpha, lower, upper, step_tol):
+    """The backtracking rule that forms the exact slope of every trial."""
+    for _ in range(MAX_BACKTRACKS):
+        x_new = np.clip(x + alpha * direction, lower, upper)
+        step = x_new - x
+        step_norm = float(np.linalg.norm(step))
+        if step_norm < step_tol:
+            return None
+        f_new = model.value(x_new)
+        _check_finite(f_new, None)
+        predicted = model.directional_derivative(x, step)
+        if predicted < 0.0 and f_new <= f + ARMIJO_C1 * predicted:
+            return x_new, f_new, step_norm
+        alpha *= 0.5
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    dim=st.integers(min_value=1, max_value=3),
+    units=st.integers(min_value=1, max_value=8),
+    integral=st.booleans(),
+    level=st.sampled_from([0.0, 1e8]),
+    alpha=st.floats(min_value=1e-9, max_value=8.0),
+)
+def test_line_search_matches_the_rule_that_forms_every_slope(
+    seed, dim, units, integral, level, alpha
+):
+    # small weights and integral biases put kinks on integral points, where
+    # one-sided slopes and flat pieces make ties between f_new and f common;
+    # a high constant level makes short downhill steps round to f_new == f
+    rng = np.random.default_rng(seed)
+    weights = rng.choice([-1.0, -0.5, 0.0, 0.3, 0.5, 1.0], size=(units, dim))
+    biases = rng.integers(-2, 3, size=units).astype(float)
+    coeffs = rng.uniform(-1.0, 1.0, units)
+    model = ReluSurrogate(
+        np.vstack([np.zeros(dim), weights]),
+        np.concatenate([[1.0], biases]),
+        np.concatenate([[level], coeffs]),
+    )
+    lower, upper = np.full(dim, -2.0), np.full(dim, 2.0)
+    x = rng.integers(-2, 3, size=dim).astype(float) if integral else rng.uniform(-2, 2, dim)
+    direction = rng.normal(size=dim)
+    f = model.value(x)
+    args = (x, f, direction, alpha, lower, upper, 1e-12)
+    got = _line_search(model, *args)
+    expected = reference_line_search(model, *args)
+    if expected is None:
+        assert got is None
+    else:
+        assert got is not None
+        assert got[0].tobytes() == expected[0].tobytes()
+        assert got[1:] == expected[1:]
 
 
 def test_non_finite_model_raises():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import one_blas_thread
 from mvrsm.errors import (
     DimensionMismatchError,
     EmptyDirectionSetError,
@@ -387,6 +388,92 @@ def test_remembered_preactivations_give_the_cold_results_bit_for_bit():
         cold = ReluSurrogate(model.weights, model.biases, model.coeffs)
         warm_out = call(model, method, points[p], direction)
         assert bits(warm_out) == bits(call(cold, method, points[p], direction)), (method, p)
+
+
+# -- forward products from the distinct unit rows ---------------------------------
+
+
+def forward_product_mismatches(seed: int) -> list:
+    """[model, entries compared, entries whose bytes differ] for the distinct-row
+    pre-activations and rates against the dense ``weights`` products.
+
+    Covers the three benchmark models (M = 221, 525, 6629; each has M mod 4 = 1)
+    and a hand-built model with M mod 4 = 3 whose last three rows are mixed
+    and repeat rows of its main block. Points are random, integral, and
+    integral with about half the mixed units moved onto their kinks; rates
+    are taken along random directions, axis moves and clipped steps.
+    """
+    rng = np.random.default_rng(seed)
+    models = []
+    for name in ("rosenbrock10", "ackley53", "rosenbrock238"):
+        space, _ = make_benchmark(name)
+        models.append((name, space, build_surrogate(space, rng)))
+    space, model = models[0][1], models[0][2]
+    mixed = np.flatnonzero(np.any(model.weights[:, : space.n_continuous] != 0.0, axis=1))
+    units = np.concatenate([rng.integers(model.n_units, size=100), rng.choice(mixed, 3)])
+    hand_built = ReluSurrogate(
+        model.weights[units], rng.uniform(-1.0, 1.0, len(units)), np.ones(len(units))
+    )
+    models.append(("hand-built", space, hand_built))
+
+    report = []
+    for name, space, model in models:
+        compared = differing = 0
+
+        def check(got, expected):
+            nonlocal compared, differing
+            compared += len(expected)
+            differing += int(np.sum(got.view(np.uint64) != expected.view(np.uint64)))
+
+        is_mixed = np.any(model.weights[:, : space.n_continuous] != 0.0, axis=1)
+        biases = model.biases
+        for _ in range(8):
+            integral = space.uniform_sample(rng).flatten()
+            for x in (rng.uniform(space.lower, space.upper), integral):
+                model.biases = biases
+                check(model._preactivation(x), model.weights @ x + model.biases)
+            kinked = is_mixed & (rng.random(model.n_units) < 0.5)
+            model.biases = np.where(kinked, -(model.weights @ integral), biases)
+            z = model._preactivation(integral)
+            assert np.all(z[kinked] == 0.0)
+            check(z, model.weights @ integral + model.biases)
+            axis = np.zeros(space.dim)
+            axis[rng.integers(space.dim)] = rng.choice([-1.0, 1.0])
+            step = np.clip(integral + rng.normal(size=space.dim), space.lower, space.upper)
+            for d in (rng.normal(size=space.dim), axis, step - integral):
+                check(model._forward(d), model.weights @ d)
+        report.append([name, compared, differing])
+    return report
+
+
+def test_distinct_row_products_equal_the_dense_products_byte_for_byte():
+    # under one BLAS thread, the setting the benchmark and the golden traces use
+    report = one_blas_thread.call("test_surrogate", "forward_product_mismatches", 0)
+    assert [name for name, _, _ in report] == [
+        "rosenbrock10", "ackley53", "rosenbrock238", "hand-built"
+    ]
+    for name, compared, differing in report:
+        assert compared > 0 and differing == 0, (name, compared, differing)
+
+
+def test_distinct_rows_reproduce_the_unit_rows():
+    # the builder's closed-form layout and the generic one of a hand-built
+    # model both satisfy rows[row_of] == weights, with the last M mod 4 units
+    # on their own rows after whole 4-row groups
+    space, _ = make_benchmark("ackley53")
+    built = build_surrogate(space, np.random.default_rng(0))
+    hand_built = ReluSurrogate(built.weights[:-2], built.biases[:-2], built.coeffs[:-2])
+    hand_built.features(np.zeros(space.dim))
+    for model in (built, hand_built):
+        rows, row_of = model._rows, model._row_of
+        assert rows.flags.c_contiguous
+        assert rows[row_of].tobytes() == model.weights.tobytes()
+        m, tail = model.n_units, model.n_units % 4
+        assert len(rows) % 4 == tail
+        assert row_of[m - tail :].tolist() == list(range(len(rows) - tail, len(rows)))
+        assert not np.isin(row_of[: m - tail], row_of[m - tail :]).any()
+    # +-e_i, +-(e_i - e_{i-1}), the constant row and the directions, padded
+    assert len(built._rows) == 205
 
 
 def test_unit_rows_are_read_only():
