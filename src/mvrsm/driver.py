@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -38,6 +39,9 @@ __all__ = [
 ]
 
 Objective = Callable[[MixedPoint], float]
+
+# the trace CSV's leading columns, before the coordinates
+_SCALAR_COLUMNS = ("iter", "y", "best_y", "step_seconds")
 
 
 @dataclass(frozen=True)
@@ -92,7 +96,7 @@ class RunTrace:
             raise ValueError("refusing to write an empty trace")
         first = self.records[0].point
         header = (
-            ["iter", "y", "best_y", "step_seconds"]
+            list(_SCALAR_COLUMNS)
             + [f"xc{i}" for i in range(len(first.xc))]
             + [f"xd{i}" for i in range(len(first.xd))]
         )
@@ -129,19 +133,34 @@ class RunTrace:
 
 
 def read_trace_csv(path) -> dict[str, np.ndarray]:
-    """Load a trace CSV into arrays: iter, y, best_y, step_seconds, coords."""
+    """Load a trace CSV into arrays: iter, y, best_y, step_seconds, coords.
+
+    Columns are found by header name, so their order does not matter and
+    other columns are ignored. ``coords`` holds the xc* columns, then the
+    xd* columns, each block in index order.
+    """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     header, body = rows[0], rows[1:]
-    data = np.array([[float(v) for v in row] for row in body])
-    if data.ndim != 2 or data.shape[1] != len(header):
+    if not body or any(len(row) != len(header) for row in body):
         raise ValueError(f"malformed trace file {path}")
+    column = {name: j for j, name in enumerate(header)}
+    missing = [name for name in _SCALAR_COLUMNS if name not in column]
+    if missing:
+        raise ValueError(f"trace file {path} has no {', '.join(missing)} column")
+    coordinates = sorted(
+        (match[1] == "xd", int(match[2]), j)
+        for j, match in enumerate(re.fullmatch(r"(xc|xd)(\d+)", name) for name in header)
+        if match
+    )
+    picked = [column[name] for name in _SCALAR_COLUMNS] + [j for *_, j in coordinates]
+    data = np.array([[float(row[j]) for j in picked] for row in body])
     return {
         "iter": data[:, 0].astype(int),
         "y": data[:, 1],
         "best_y": data[:, 2],
         "step_seconds": data[:, 3],
-        "coords": data[:, 4:],
+        "coords": data[:, len(_SCALAR_COLUMNS) :],
     }
 
 
@@ -149,9 +168,11 @@ class MvrsmOptimizer:
     """Ask/tell interface to the surrogate loop.
 
     ``ask`` proposes the next point to evaluate; ``tell`` feeds the observed
-    value back and advances the model. Strict alternation is enforced. A
-    plain loop over ask/evaluate/tell reproduces ``run_mvrsm`` exactly for
-    the same seed, because ``run_mvrsm`` is that loop.
+    value back and advances the model. Strict alternation is enforced, and
+    ``tell`` accepts only the pending ``ask``'s point (equal coordinates; a
+    copy will do): a rejected ``tell`` changes nothing and leaves the ask
+    pending. A plain loop over ask/evaluate/tell reproduces ``run_mvrsm``
+    exactly for the same seed, because ``run_mvrsm`` is that loop.
     """
 
     def __init__(self, space: SearchSpace, config: OptimizerConfig):
@@ -182,6 +203,12 @@ class MvrsmOptimizer:
     def tell(self, point: MixedPoint, y: float) -> None:
         if self._pending is None:
             raise ProtocolViolationError("tell() called without a pending ask()")
+        pending = self._pending
+        if not (
+            np.array_equal(getattr(point, "xc", None), pending.xc)
+            and np.array_equal(getattr(point, "xd", None), pending.xd)
+        ):
+            raise ProtocolViolationError("tell() given a point other than the pending ask()'s")
         y = float(y)
         tic = time.perf_counter()
 

@@ -31,12 +31,13 @@ def perturb_integer(space: SearchSpace, xd: np.ndarray, rng: RandomStream) -> np
     out = xd.copy()
     p = 1.0 / space.dim
     lower, upper = space.integer_lower, space.integer_upper
-    for i in range(space.n_integer):
-        r1 = rng.random()
-        r2 = rng.random()
+    # one (r1, r2) pair per coordinate, the same doubles in the same order as
+    # two scalar draws each; a pinned variable (lower == upper) has nowhere to
+    # go but still takes its pair, so the stream layout is identical either way
+    draws = rng.random((space.n_integer, 2))
+    for i in np.flatnonzero(draws[:, 0] < p).tolist():
+        r1, r2 = draws[i].tolist()
         steps = 0
-        # a pinned variable (lower == upper) has nowhere to go; the draws
-        # above still happen so the stream layout is identical either way
         while r1 < p and lower[i] < upper[i] and steps < MAX_STEPS:
             if out[i] == lower[i]:
                 out[i] += 1

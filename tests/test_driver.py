@@ -101,6 +101,31 @@ def test_ask_tell_protocol_enforced():
     assert opt.ask() is not None
 
 
+def test_tell_rejects_a_point_other_than_the_pending_one():
+    space = small_space()
+    cfg = OptimizerConfig(budget=30, rng_seed=9)
+    opt = MvrsmOptimizer(space, cfg)
+    for _ in range(cfg.budget):
+        point = opt.ask()
+        xd = point.xd.copy()
+        xd[0] += 1.0 if xd[0] < space.integer_upper[0] else -1.0
+        for other in (
+            MixedPoint(point.xc + 0.25, point.xd),
+            MixedPoint(point.xc, xd),
+            MixedPoint(point.xc[:1], point.xd),
+            point.flatten(),
+        ):
+            with pytest.raises(ProtocolViolationError, match="pending"):
+                opt.tell(other, quadratic(other) if isinstance(other, MixedPoint) else 0.0)
+        # a rejected tell records nothing, and an equal copy is accepted
+        opt.tell(MixedPoint(point.xc.copy(), point.xd.copy()), quadratic(point))
+    # the rejected tells left the run exactly as an undisturbed one
+    reference = run_mvrsm(quadratic, space, cfg)
+    np.testing.assert_array_equal(opt.trace.y_values(), reference.y_values())
+    for ra, rb in zip(opt.trace.records, reference.records):
+        np.testing.assert_array_equal(ra.point.flatten(), rb.point.flatten())
+
+
 def test_ask_tell_loop_matches_run_mvrsm():
     space = small_space()
     cfg = OptimizerConfig(budget=30, rng_seed=9)
@@ -217,6 +242,41 @@ def test_malformed_csv_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("iter,y,best_y,step_seconds,xc0\n1,2.0,2.0\n")
     with pytest.raises(ValueError):
+        read_trace_csv(path)
+
+
+def test_csv_columns_are_read_by_name(tmp_path):
+    trace = run_mvrsm(quadratic, small_space(), OptimizerConfig(budget=26, rng_seed=3))
+    path = tmp_path / "trace.csv"
+    trace.write_csv(path)
+    expected = read_trace_csv(path)
+    np.testing.assert_array_equal(
+        expected["coords"], [r.point.flatten() for r in trace.records]
+    )
+    # an extra column, placed among the coordinates, and shuffled columns
+    lines = path.read_text().splitlines()
+    table = [line.split(",") for line in lines]
+    header = table[0]
+    order = [header.index(name) for name in ("xd1", "step_seconds", "xc0", "iter", "xd0")]
+    order += [header.index(name) for name in ("y", "xc1", "best_y")]
+    extra = tmp_path / "extra.csv"
+    extra.write_text(
+        "\n".join(
+            ",".join([row[j] for j in order[:3]] + [name] + [row[j] for j in order[3:]])
+            for row, name in zip(table, ["fit_seconds"] + ["7.5"] * len(trace))
+        )
+        + "\n"
+    )
+    back = read_trace_csv(extra)
+    assert set(back) == set(expected)
+    for key in expected:
+        np.testing.assert_array_equal(back[key], expected[key])
+
+
+def test_csv_without_a_named_column_rejected(tmp_path):
+    path = tmp_path / "renamed.csv"
+    path.write_text("iter,y,best,step_seconds,xc0,xd0\n1,2.0,2.0,0.1,0.5,1.0\n")
+    with pytest.raises(ValueError, match="best_y"):
         read_trace_csv(path)
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvrsm.errors import NonIntegralInputError
 from mvrsm.explore import MAX_STEPS, perturb_continuous, perturb_integer
@@ -16,8 +18,12 @@ class ScriptedRng:
         self.normals = list(normals)
         self.normal_calls = []
 
-    def random(self):
-        return self.uniforms.pop(0)
+    def random(self, size=None):
+        if size is None:
+            return self.uniforms.pop(0)
+        count = int(np.prod(size))
+        draws, self.uniforms = self.uniforms[:count], self.uniforms[count:]
+        return np.array(draws, dtype=float).reshape(size)
 
     def normal(self, loc, scale):
         self.normal_calls.append((loc, np.array(scale, dtype=float)))
@@ -133,6 +139,53 @@ def test_step_probability_tracks_one_over_dim():
     rate = moved / (trials * 5)
     se = np.sqrt(0.2 * 0.8 / (trials * 5))
     assert abs(rate - 0.2) < 4 * se
+
+
+def reference_perturb_integer(space, xd, rng):
+    """The walk drawing its two uniforms per coordinate as scalar calls."""
+    out = np.asarray(xd, dtype=float).copy()
+    p = 1.0 / space.dim
+    lower, upper = space.integer_lower, space.integer_upper
+    for i in range(space.n_integer):
+        r1 = rng.random()
+        r2 = rng.random()
+        steps = 0
+        while r1 < p and lower[i] < upper[i] and steps < MAX_STEPS:
+            if out[i] == lower[i]:
+                out[i] += 1
+            elif out[i] == upper[i]:
+                out[i] -= 1
+            elif r2 < 0.5:
+                out[i] += 1
+            else:
+                out[i] -= 1
+            r1 *= 2.0
+            steps += 1
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_continuous=st.integers(0, 3),
+    widths=st.lists(st.integers(0, 4), min_size=1, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_walk_matches_scalar_draws_bit_for_bit(n_continuous, widths, seed, data):
+    # dims of 1-11 make p = 1/dim large enough that many coordinates walk
+    variables = [VariableSpec("continuous", -1, 1)] * n_continuous + [
+        VariableSpec("integer", -w // 2, w - w // 2) for w in widths
+    ]
+    space = SearchSpace(tuple(variables))
+    bounds = zip(space.integer_lower.astype(int), space.integer_upper.astype(int))
+    xd = np.array([data.draw(st.integers(int(lo), int(up))) for lo, up in bounds], dtype=float)
+    rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):  # consecutive calls share the stream
+        out = perturb_integer(space, xd, rng)
+        expected = reference_perturb_integer(space, xd, reference)
+        assert out.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == reference.bit_generator.state
+        xd = out
 
 
 def test_continuous_noise_scale_formula():
