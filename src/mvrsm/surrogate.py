@@ -96,8 +96,15 @@ class ReluSurrogate:
     negation are stored apart (folding the sign would turn a +0 product into
     -0). ``build_surrogate`` lays the rows out directly; a hand-built model,
     or one given new ``weights``, is factored from its rows' bytes on first
-    use. The transpose products of ``gradient`` and ``axis_derivatives`` stay
-    dense, since a structured one would change the order of their sums.
+    use. Both put the rows in order of first use, so a hand-built copy of a
+    built model has the same layout and gives the same bits.
+
+    The transpose products weights.T @ u of ``gradient`` and
+    ``axis_derivatives`` are structured too: u is summed over the units of
+    each row (a bincount, in unit order), then multiplied by rows.T. That
+    sums in another order than the dense product, so its low bits differ
+    from it; the model never forms a product with the dense ``weights``,
+    which stays stored, read-only and public.
     """
 
     weights: np.ndarray
@@ -140,11 +147,21 @@ class ReluSurrogate:
             raise DimensionMismatchError(f"point of shape {x.shape}, model dim {self.dim}")
         return x
 
-    def _forward(self, v: np.ndarray) -> np.ndarray:
-        """weights @ v, formed from the distinct unit rows with the same bits."""
+    def _factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct unit rows and each unit's row, factored on first use."""
         if self._rows is None:
             self._rows, self._row_of = _grouped_rows(*_distinct_rows(self.weights))
-        return (self._rows @ v).take(self._row_of)
+        return self._rows, self._row_of
+
+    def _forward(self, v: np.ndarray) -> np.ndarray:
+        """weights @ v, formed from the distinct unit rows with the same bits."""
+        rows, row_of = self._factors()
+        return (rows @ v).take(row_of)
+
+    def _per_row(self, u: np.ndarray) -> np.ndarray:
+        """u summed over the units of each distinct row, in unit order."""
+        rows, row_of = self._factors()
+        return np.bincount(row_of, weights=u, minlength=len(rows))
 
     def _preactivation(self, x) -> np.ndarray:
         """Read-only z = weights @ x + biases, remembered for two points.
@@ -181,7 +198,8 @@ class ReluSurrogate:
         """Subgradient sum_k c_k s(z_k) w_k with s = 1 above the kink, 0 below, 1/2 at it."""
         z = self._preactivation(x)
         slope = np.where(z > 0.0, 1.0, np.where(z < 0.0, 0.0, 0.5))
-        return self.weights.T @ (self.coeffs * slope)
+        rows, _ = self._factors()
+        return rows.T @ self._per_row(self.coeffs * slope)
 
     def directional_derivative(self, x, direction: np.ndarray) -> float:
         """Exact one-sided derivative of the model at ``x`` along ``direction``.
@@ -215,13 +233,11 @@ class ReluSurrogate:
         a kink point.
         """
         z = self._preactivation(x)
-        active = self.coeffs * (z > 0.0)
-        base = self.weights.T @ active
-        kink = z == 0.0
-        w_kink = self.weights[kink]
-        c_kink = self.coeffs[kink]
-        up = np.maximum(w_kink, 0.0).T @ c_kink
-        down = np.maximum(-w_kink, 0.0).T @ c_kink
+        rows, _ = self._factors()
+        base = rows.T @ self._per_row(self.coeffs * (z > 0.0))
+        c_kink = self._per_row(np.where(z == 0.0, self.coeffs, 0.0))
+        up = np.maximum(rows, 0.0).T @ c_kink
+        down = np.maximum(-rows, 0.0).T @ c_kink
         return base + up, -base + down
 
     # -- snapshots ----------------------------------------------------------
@@ -365,8 +381,14 @@ def build_surrogate(space: SearchSpace, rng: RandomStream) -> ReluSurrogate:
         directions = sample_directions(space, rng)
         n_mixed = math.ceil(space.n_continuous * n_int_units / space.n_integer)
         picks, mixed_biases = _draw_mixed_units(space, directions, n_mixed, rng)
-        row_of = np.concatenate([row_of, len(rows) + picks])
-        rows = np.concatenate([rows, directions])
+        # the used directions in order of first use, the order in which
+        # _distinct_rows would find them, so the transpose products of a
+        # hand-built copy of this model sum its rows in the same order
+        order = list(dict.fromkeys(picks.tolist()))
+        rank = np.empty(len(directions), dtype=np.intp)
+        rank[order] = np.arange(len(order))
+        row_of = np.concatenate([row_of, len(rows) + rank[picks]])
+        rows = np.concatenate([rows, directions[order]])
         biases = np.concatenate([biases, mixed_biases])
     coeffs = np.concatenate([np.ones(1 + n_int_units), np.zeros(n_mixed)])
     fit = RecursiveLeastSquares(coeffs, lam=REGULARISER)

@@ -184,6 +184,24 @@ class CountingProducts(np.ndarray):
         return super().__matmul__(other)
 
 
+class TracedWeights(np.ndarray):
+    """Dense unit rows that log every matrix product taken with them, or with
+    any view, slice or elementwise result derived from them."""
+
+    def __array_finalize__(self, obj):
+        self.log = getattr(obj, "log", None)
+
+    def __matmul__(self, other):
+        if self.log is not None:
+            self.log.append("matmul")
+        return super().__matmul__(other)
+
+    def __rmatmul__(self, other):
+        if self.log is not None:
+            self.log.append("rmatmul")
+        return super().__rmatmul__(other)
+
+
 def test_descent_forms_each_points_preactivations_once():
     space, objective = make_benchmark("ackley53", rng=np.random.default_rng([0, 1]))
     rng = np.random.default_rng(0)
@@ -193,10 +211,14 @@ def test_descent_forms_each_points_preactivations_once():
         model.rls.update(model.features(p.flatten()), objective(p))
     best = min(samples, key=lambda p: model.value(p.flatten()))
 
-    # the forward products are formed on the distinct unit rows
-    rows = model._rows.view(CountingProducts)
+    # every product is formed on the distinct unit rows, none on the dense
+    # weights (assigning weights drops the factorisation, so the rows follow)
+    rows, row_of = model._rows.view(CountingProducts), model._row_of
     rows.log = []
-    model._rows = rows
+    weights = model.weights.view(TracedWeights)
+    weights.log = []
+    model.weights = weights
+    model._rows, model._row_of = rows, row_of
     evaluated = set()
     calls = []
     for name in ("features", "value", "gradient", "directional_derivative", "axis_derivatives"):
@@ -222,6 +244,10 @@ def test_descent_forms_each_points_preactivations_once():
     # derivative formed; a trial rejected on its value forms no rows . d
     assert len(at_points) == len(evaluated) and set(at_points) == evaluated
     assert len(rows.log) == len(evaluated) + directional
+    assert calls.count("gradient") > 0
+    # this descent needs no axis moves; they are formed on the rows too
+    model.axis_derivatives(best.flatten())
+    assert weights.log == []
 
 
 def reference_line_search(model, x, f, direction, alpha, lower, upper, step_tol):

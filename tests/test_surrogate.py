@@ -13,6 +13,8 @@ from mvrsm.objectives import make_benchmark
 from mvrsm.space import MixedPoint, SearchSpace, VariableSpec
 from mvrsm.surrogate import (
     ReluSurrogate,
+    _distinct_rows,
+    _grouped_rows,
     build_surrogate,
     corner_points,
     enumerate_vertices,
@@ -474,6 +476,90 @@ def test_distinct_rows_reproduce_the_unit_rows():
         assert not np.isin(row_of[: m - tail], row_of[m - tail :]).any()
     # +-e_i, +-(e_i - e_{i-1}), the constant row and the directions, padded
     assert len(built._rows) == 205
+
+
+def test_built_layout_is_the_generic_layout_of_its_weights():
+    # a hand-built copy of a built model sums its transpose products over the
+    # same rows in the same order, so the two give the same bits
+    for name in ("rosenbrock10", "ackley53", "rosenbrock238"):
+        space, _ = make_benchmark(name)
+        model = build_surrogate(space, np.random.default_rng(0))
+        rows, row_of = _grouped_rows(*_distinct_rows(model.weights))
+        assert model._rows.tobytes() == rows.tobytes(), name
+        assert model._row_of.tobytes() == row_of.tobytes(), name
+
+
+# -- transpose products from the distinct unit rows -------------------------------
+
+
+def transpose_product_cases(seed: int):
+    """(name, model, point) for the three benchmark models (M = 221, 525, 6629;
+    M mod 4 = 1) and a hand-built model with M mod 4 = 3, all with random
+    coefficients. Points are random, integral (integer units at their kinks)
+    and integral with about half the mixed units moved onto their kinks."""
+    rng = np.random.default_rng(seed)
+    models = []
+    for name in ("rosenbrock10", "ackley53", "rosenbrock238"):
+        space, _ = make_benchmark(name)
+        models.append((name, space, build_surrogate(space, rng)))
+    space, model = models[0][1], models[0][2]
+    units = rng.integers(model.n_units, size=103)
+    hand_built = ReluSurrogate(model.weights[units], model.biases[units], np.ones(len(units)))
+    models.append(("hand-built", space, hand_built))
+    for name, space, model in models:
+        model.coeffs[:] = rng.uniform(-1.0, 1.0, model.n_units)
+        is_mixed = np.any(model.weights[:, : space.n_continuous] != 0.0, axis=1)
+        for _ in range(4):
+            integral = space.uniform_sample(rng).flatten()
+            yield name, model, rng.uniform(space.lower, space.upper)
+            yield name, model, integral
+            # the model's own forward product puts them exactly on their kinks
+            # whatever the BLAS thread count
+            kinked = is_mixed & (rng.random(model.n_units) < 0.5)
+            model.biases = np.where(kinked, -model._forward(integral), model.biases)
+            yield name, model, integral
+
+
+def dense_transpose_products(model, x):
+    """The gradient and axis derivatives from products with the dense weights,
+    at the model's own pre-activations."""
+    w = model.weights
+    z = model._preactivation(x)
+    slope = np.where(z > 0.0, 1.0, np.where(z < 0.0, 0.0, 0.5))
+    base = w.T @ (model.coeffs * (z > 0.0))
+    kink = z == 0.0
+    up = np.maximum(w[kink], 0.0).T @ model.coeffs[kink]
+    down = np.maximum(-w[kink], 0.0).T @ model.coeffs[kink]
+    return w.T @ (model.coeffs * slope), base + up, -base + down
+
+
+def test_transpose_products_match_the_dense_products():
+    # entries are compared relative to |weights|^T |coeffs|, the scale of the
+    # sum's rounding; the worst case measured is 9.9e-16 of it (rosenbrock238)
+    points_at_kinks = {}
+    for name, model, x in transpose_product_cases(0):
+        scale = np.abs(model.weights).T @ np.abs(model.coeffs)
+        got = (model.gradient(x), *model.axis_derivatives(x))
+        expected = dense_transpose_products(model, x)
+        for part, g, e in zip(("gradient", "up", "down"), got, expected):
+            assert np.all(np.abs(g - e) <= 1e-14 * scale), (name, part)
+        at_kink = np.any(model._preactivation(x) == 0.0)
+        points_at_kinks[name] = points_at_kinks.get(name, 0) + int(at_kink)
+    assert sorted(points_at_kinks) == ["ackley53", "hand-built", "rosenbrock10", "rosenbrock238"]
+    assert min(points_at_kinks.values()) > 0
+
+
+def test_axis_derivatives_match_directional_derivatives_at_benchmark_size():
+    # relative to |weights|^T |coeffs| as above; the worst case measured is 1.7e-16
+    cases = [(model, x) for name, model, x in transpose_product_cases(1) if name == "ackley53"]
+    for model, x in cases:
+        scale = np.abs(model.weights).T @ np.abs(model.coeffs)
+        up, down = model.axis_derivatives(x)
+        for i in range(model.dim):
+            e = np.zeros(model.dim)
+            e[i] = 1.0
+            assert abs(up[i] - model.directional_derivative(x, e)) <= 1e-14 * scale[i]
+            assert abs(down[i] - model.directional_derivative(x, -e)) <= 1e-14 * scale[i]
 
 
 def test_unit_rows_are_read_only():
