@@ -1,5 +1,6 @@
 """Tests for the run loops, ask/tell session, and trace export."""
 
+import csv
 import json
 import time
 
@@ -254,19 +255,14 @@ def test_csv_columns_are_read_by_name(tmp_path):
         expected["coords"], [r.point.flatten() for r in trace.records]
     )
     # an extra column, placed among the coordinates, and shuffled columns
-    lines = path.read_text().splitlines()
-    table = [line.split(",") for line in lines]
-    header = table[0]
-    order = [header.index(name) for name in ("xd1", "step_seconds", "xc0", "iter", "xd0")]
-    order += [header.index(name) for name in ("y", "xc1", "best_y")]
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    names = ["xd1", "step_seconds", "xc0", "fit_seconds", "iter", "xd0", "y", "xc1", "best_y"]
     extra = tmp_path / "extra.csv"
-    extra.write_text(
-        "\n".join(
-            ",".join([row[j] for j in order[:3]] + [name] + [row[j] for j in order[3:]])
-            for row, name in zip(table, ["fit_seconds"] + ["7.5"] * len(trace))
-        )
-        + "\n"
-    )
+    with open(extra, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, names)
+        writer.writeheader()
+        writer.writerows({**row, "fit_seconds": "7.5"} for row in rows)
     back = read_trace_csv(extra)
     assert set(back) == set(expected)
     for key in expected:

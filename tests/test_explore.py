@@ -167,14 +167,15 @@ def reference_perturb_integer(space, xd, rng):
 @settings(max_examples=200, deadline=None)
 @given(
     n_continuous=st.integers(0, 3),
-    widths=st.lists(st.integers(0, 4), min_size=1, max_size=8),
+    half_widths=st.lists(st.integers(0, 2), min_size=1, max_size=8),
     seed=st.integers(0, 2**32 - 1),
     data=st.data(),
 )
-def test_walk_matches_scalar_draws_bit_for_bit(n_continuous, widths, seed, data):
-    # dims of 1-11 make p = 1/dim large enough that many coordinates walk
+def test_walk_matches_scalar_draws_bit_for_bit(n_continuous, half_widths, seed, data):
+    # dims of 1-11 make p = 1/dim large enough that many coordinates walk;
+    # half-width 0 pins a variable
     variables = [VariableSpec("continuous", -1, 1)] * n_continuous + [
-        VariableSpec("integer", -w // 2, w - w // 2) for w in widths
+        VariableSpec("integer", -h, h) for h in half_widths
     ]
     space = SearchSpace(tuple(variables))
     bounds = zip(space.integer_lower.astype(int), space.integer_upper.astype(int))
