@@ -20,7 +20,7 @@ from .driver import (
 from .errors import MvrsmError
 from .objectives import NoisyObjective, ackley, make_benchmark, rosenbrock
 from .space import MixedPoint, SearchSpace, VariableSpec
-from .surrogate import ReluSurrogate, build_surrogate, enumerate_vertices
+from .surrogate import ReluSurrogate, build_surrogate
 
 __version__ = "0.1.0"
 
@@ -39,7 +39,6 @@ __all__ = [
     "VariableSpec",
     "ackley",
     "build_surrogate",
-    "enumerate_vertices",
     "make_benchmark",
     "minimize",
     "rosenbrock",

@@ -36,6 +36,7 @@ from .driver import (
 from .errors import (
     ConfigError,
     LengthMismatchError,
+    MalformedTraceError,
     MvrsmError,
     ObjectiveFailureError,
 )
@@ -383,7 +384,7 @@ def main(argv=None) -> int:
             return 2 if result["failures"] else 0
         summarize_directory(args.directory)
         return 0
-    except (ConfigError, LengthMismatchError) as exc:
+    except (ConfigError, LengthMismatchError, MalformedTraceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

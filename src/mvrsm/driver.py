@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .boxmin import BoxMinConfig, minimize
-from .errors import ObjectiveFailureError, ProtocolViolationError
+from .errors import MalformedTraceError, ObjectiveFailureError, ProtocolViolationError
 from .explore import perturb_continuous, perturb_integer
 from .space import MixedPoint, SearchSpace
 from .surrogate import build_surrogate
@@ -137,24 +137,29 @@ def read_trace_csv(path) -> dict[str, np.ndarray]:
 
     Columns are found by header name, so their order does not matter and
     other columns are ignored. ``coords`` holds the xc* columns, then the
-    xd* columns, each block in index order.
+    xd* columns, each block in index order. Raises MalformedTraceError for a
+    file without data rows, with ragged rows, a missing column or a
+    non-numeric cell.
     """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
+    if len(rows) < 2 or any(len(row) != len(rows[0]) for row in rows[1:]):
+        raise MalformedTraceError(f"malformed trace file {path}")
     header, body = rows[0], rows[1:]
-    if not body or any(len(row) != len(header) for row in body):
-        raise ValueError(f"malformed trace file {path}")
     column = {name: j for j, name in enumerate(header)}
     missing = [name for name in _SCALAR_COLUMNS if name not in column]
     if missing:
-        raise ValueError(f"trace file {path} has no {', '.join(missing)} column")
+        raise MalformedTraceError(f"trace file {path} has no {', '.join(missing)} column")
     coordinates = sorted(
         (match[1] == "xd", int(match[2]), j)
         for j, match in enumerate(re.fullmatch(r"(xc|xd)(\d+)", name) for name in header)
         if match
     )
     picked = [column[name] for name in _SCALAR_COLUMNS] + [j for *_, j in coordinates]
-    data = np.array([[float(row[j]) for j in picked] for row in body])
+    try:
+        data = np.array([[float(row[j]) for j in picked] for row in body])
+    except ValueError as exc:
+        raise MalformedTraceError(f"malformed trace file {path}: {exc}") from exc
     return {
         "iter": data[:, 0].astype(int),
         "y": data[:, 1],

@@ -5,13 +5,13 @@ from __future__ import annotations
 __all__ = [
     "MvrsmError",
     "EmptySpaceError",
+    "UnknownKindError",
     "InvertedBoundsError",
     "NonIntegerBoundError",
     "NonNumericBoundError",
     "NoIntegerVariablesError",
     "DimensionMismatchError",
     "EmptyDirectionSetError",
-    "TooLargeError",
     "NonPositiveLambdaError",
     "NonFiniteError",
     "NonIntegralInputError",
@@ -21,6 +21,7 @@ __all__ = [
     "ObjectiveFailureError",
     "ConfigError",
     "LengthMismatchError",
+    "MalformedTraceError",
 ]
 
 
@@ -30,6 +31,14 @@ class MvrsmError(Exception):
 
 class EmptySpaceError(MvrsmError, ValueError):
     """A search space must declare at least one variable."""
+
+
+class UnknownKindError(MvrsmError, ValueError):
+    """A variable's kind is neither "continuous" nor "integer"."""
+
+    def __init__(self, index: int, kind):
+        self.index = index
+        super().__init__(f"variable {index}: unknown kind {kind!r}")
 
 
 class InvertedBoundsError(MvrsmError, ValueError):
@@ -73,10 +82,6 @@ class EmptyDirectionSetError(MvrsmError, ValueError):
     """Mixed units need a non-empty direction set when continuous variables exist."""
 
 
-class TooLargeError(MvrsmError, ValueError):
-    """Exhaustive vertex enumeration would exceed the combinatorial budget."""
-
-
 class NonPositiveLambdaError(MvrsmError, ValueError):
     """The recursive least squares regulariser must be strictly positive."""
 
@@ -115,3 +120,7 @@ class ConfigError(MvrsmError, ValueError):
 
 class LengthMismatchError(MvrsmError, ValueError):
     """Traces passed to the summarizer are empty or have unequal lengths."""
+
+
+class MalformedTraceError(MvrsmError, ValueError):
+    """A trace CSV is empty, lacks a column, has ragged rows or a non-numeric cell."""

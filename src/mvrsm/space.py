@@ -24,6 +24,7 @@ from .errors import (
     NonIntegerBoundError,
     NonNumericBoundError,
     NoIntegerVariablesError,
+    UnknownKindError,
 )
 
 __all__ = ["VariableSpec", "MixedPoint", "SearchSpace", "round_half_away"]
@@ -78,7 +79,7 @@ class SearchSpace:
         n_integer = 0
         for i, v in enumerate(self.variables):
             if v.kind not in ("continuous", "integer"):
-                raise ValueError(f"variable {i}: unknown kind {v.kind!r}")
+                raise UnknownKindError(i, v.kind)
             for bound in (v.lower, v.upper):
                 # bool is an int subclass; numpy's bool_ is not a numbers.Real
                 if not isinstance(bound, numbers.Real) or isinstance(bound, bool):

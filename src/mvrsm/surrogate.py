@@ -22,36 +22,28 @@ minimum is pinned by a full-rank set of kinks, of which at most n_continuous
 can be mixed (their weights live in the span of the shared directions), so at
 least n_integer are integer units; the integer units' simultaneous zeros form
 a difference system whose solutions are integral. Strict local minima of the
-surrogate therefore have exact integer values in the integer block, and
-``enumerate_vertices`` makes the claim checkable on small models.
+surrogate therefore have exact integer values in the integer block; the
+tests check the claim by enumerating every vertex of small models.
 """
 
 from __future__ import annotations
 
-import itertools
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    EmptyDirectionSetError,
-    TooLargeError,
-)
+from .errors import DimensionMismatchError, EmptyDirectionSetError
 from .rls import RecursiveLeastSquares
 from .space import MixedPoint, SearchSpace
 
 __all__ = [
     "ReluSurrogate",
-    "Vertex",
     "integer_units",
     "sample_directions",
     "corner_points",
     "mixed_units",
     "build_surrogate",
-    "enumerate_vertices",
 ]
 
 RandomStream = np.random.Generator
@@ -73,63 +65,82 @@ _GEMV_GROUP = 4
 class ReluSurrogate:
     """The fitted model: unit rows are frozen after construction, coefficients are not.
 
-    Row k of ``weights`` (block layout [continuous; integer]) and ``biases[k]``
-    define unit k. The model owns its unit rows: both arrays are made
-    read-only, without a copy, when they are set. The pre-activations
+    Unit k is row ``row_of[k]`` of ``rows`` (block layout [continuous;
+    integer]) plus ``biases[k]``: integer units are +-e_i or +-(e_i - e_{i-1})
+    and mixed units share n_continuous directions, so the M = 6629 units of
+    rosenbrock238 have 597 distinct rows. The dense unit rows,
+    ``weights == rows[row_of]``, are formed only when read, for inspection;
+    ``from_weights`` factors a model built by hand from them. The model owns
+    its unit rows: ``rows``, ``row_of`` and ``biases`` are made read-only,
+    without a copy, when they are set. The pre-activations
     z = weights @ x + biases do not depend on the coefficients, so they are
     computed once per point and kept for two points (the descent's iterate
-    and its latest line-search trial); assigning new
-    ``weights`` or ``biases`` forgets them. ``coeffs`` is shared with the
-    attached least squares state (when one is attached), so updates through
-    either view are seen by both.
+    and its latest line-search trial); assigning any of the three forgets
+    them. ``coeffs`` is shared with the attached least squares state (when
+    one is attached), so updates through either view are seen by both.
 
-    The forward products weights @ x (pre-activations) and weights @ d
-    (directional rates) are formed from the distinct unit rows: integer units
-    are +-e_i or +-(e_i - e_{i-1}) and mixed units share n_continuous
-    directions, so M = 6629 units have 597 rows. The private ``_rows`` holds
-    them and ``_row_of`` maps each unit to its row, with rows[row_of] ==
-    weights, and weights @ v is (rows @ v)[row_of]. Under one BLAS thread a
-    row's dot product depends only on whether the row sits in a full 4-row
-    kernel group or in the last M mod 4 rows, so the layout keeps every bit:
-    the distinct rows are padded with zero rows to whole groups, the last
-    M mod 4 units get their own copies at the very end, and a row and its
-    negation are stored apart (folding the sign would turn a +0 product into
-    -0). ``build_surrogate`` lays the rows out directly; a hand-built model,
-    or one given new ``weights``, is factored from its rows' bytes on first
-    use. Both put the rows in order of first use, so a hand-built copy of a
-    built model has the same layout and gives the same bits.
+    The forward products weights @ v (pre-activations and directional rates)
+    are (rows @ v)[row_of], with the bits of the dense product. Under one
+    BLAS thread a row's dot product depends only on whether the row sits in a
+    full 4-row kernel group or in the last M mod 4 rows, so the distinct rows
+    are padded with zero rows to whole groups, the last M mod 4 units get
+    their own copies at the very end, and a row and its negation are stored
+    apart (folding the sign would turn a +0 product into -0). Rows are in
+    order of first use, in ``build_surrogate`` and in ``from_weights`` alike,
+    so a hand-built copy of a built model has the same layout and gives the
+    same bits.
 
     The transpose products weights.T @ u of ``gradient`` and
-    ``axis_derivatives`` are structured too: u is summed over the units of
-    each row (a bincount, in unit order), then multiplied by rows.T. That
-    sums in another order than the dense product, so its low bits differ
-    from it; the model never forms a product with the dense ``weights``,
-    which stays stored, read-only and public.
+    ``axis_derivatives`` sum u over the units of each row (a bincount, in
+    unit order), then multiply by rows.T. That sums in another order than the
+    dense product, so its low bits differ from it.
     """
 
-    weights: np.ndarray
+    rows: np.ndarray
+    row_of: np.ndarray
     biases: np.ndarray
     coeffs: np.ndarray
     rls: RecursiveLeastSquares | None = None
 
     def __setattr__(self, name, value):
-        if name in ("weights", "biases"):
-            value = np.asanyarray(value, dtype=float)
+        if name in ("rows", "row_of", "biases"):
+            value = np.asanyarray(value, dtype=np.intp if name == "row_of" else float)
             value.flags.writeable = False
             # keyed on coordinate bytes, oldest first; values are (z, reused)
             object.__setattr__(self, "_z_memo", {})
-            if name == "weights":
-                object.__setattr__(self, "_rows", None)
+            if name == "rows":
+                # the rows' positive and negative parts, for the kink terms
+                # of axis_derivatives
+                down = np.negative(value)
+                object.__setattr__(self, "_rows_down", np.maximum(down, 0.0, out=down))
+                object.__setattr__(self, "_rows_up", np.maximum(value, 0.0))
         object.__setattr__(self, name, value)
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=float)
-        m = len(self.biases)
-        if self.weights.ndim != 2 or len(self.weights) != m or len(self.coeffs) != m:
+        m, row_of = len(self.biases), self.row_of
+        if self.rows.ndim != 2 or row_of.shape != (m,) or len(self.coeffs) != m:
             raise DimensionMismatchError(
-                f"weights of shape {self.weights.shape}, {m} biases and "
-                f"{len(self.coeffs)} coefficients"
+                f"rows of shape {self.rows.shape}, row_of of shape {row_of.shape}, "
+                f"{m} biases and {len(self.coeffs)} coefficients"
             )
+        if np.any((row_of < 0) | (row_of >= len(self.rows))):
+            raise DimensionMismatchError(f"row_of names rows outside the {len(self.rows)} rows")
+
+    @classmethod
+    def from_weights(cls, weights, biases, coeffs, rls=None) -> "ReluSurrogate":
+        """The model whose unit k is row k of ``weights`` plus ``biases[k]``."""
+        weights = np.asarray(weights, dtype=float)
+        if weights.ndim != 2:
+            raise DimensionMismatchError(f"weights of shape {weights.shape}")
+        return cls(*_grouped_rows(*_distinct_rows(weights)), biases, coeffs, rls)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The dense unit rows rows[row_of], formed anew (read-only) on each read."""
+        weights = self.rows[self.row_of]
+        weights.flags.writeable = False
+        return weights
 
     @property
     def n_units(self) -> int:
@@ -137,7 +148,7 @@ class ReluSurrogate:
 
     @property
     def dim(self) -> int:
-        return self.weights.shape[1]
+        return self.rows.shape[1]
 
     def _coords(self, x) -> np.ndarray:
         if isinstance(x, MixedPoint):
@@ -147,21 +158,13 @@ class ReluSurrogate:
             raise DimensionMismatchError(f"point of shape {x.shape}, model dim {self.dim}")
         return x
 
-    def _factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct unit rows and each unit's row, factored on first use."""
-        if self._rows is None:
-            self._rows, self._row_of = _grouped_rows(*_distinct_rows(self.weights))
-        return self._rows, self._row_of
-
     def _forward(self, v: np.ndarray) -> np.ndarray:
         """weights @ v, formed from the distinct unit rows with the same bits."""
-        rows, row_of = self._factors()
-        return (rows @ v).take(row_of)
+        return (self.rows @ v).take(self.row_of)
 
     def _per_row(self, u: np.ndarray) -> np.ndarray:
         """u summed over the units of each distinct row, in unit order."""
-        rows, row_of = self._factors()
-        return np.bincount(row_of, weights=u, minlength=len(rows))
+        return np.bincount(self.row_of, weights=u, minlength=len(self.rows))
 
     def _preactivation(self, x) -> np.ndarray:
         """Read-only z = weights @ x + biases, remembered for two points.
@@ -198,8 +201,7 @@ class ReluSurrogate:
         """Subgradient sum_k c_k s(z_k) w_k with s = 1 above the kink, 0 below, 1/2 at it."""
         z = self._preactivation(x)
         slope = np.where(z > 0.0, 1.0, np.where(z < 0.0, 0.0, 0.5))
-        rows, _ = self._factors()
-        return rows.T @ self._per_row(self.coeffs * slope)
+        return self.rows.T @ self._per_row(self.coeffs * slope)
 
     def directional_derivative(self, x, direction: np.ndarray) -> float:
         """Exact one-sided derivative of the model at ``x`` along ``direction``.
@@ -233,28 +235,9 @@ class ReluSurrogate:
         a kink point.
         """
         z = self._preactivation(x)
-        rows, _ = self._factors()
-        base = rows.T @ self._per_row(self.coeffs * (z > 0.0))
+        base = self.rows.T @ self._per_row(self.coeffs * (z > 0.0))
         c_kink = self._per_row(np.where(z == 0.0, self.coeffs, 0.0))
-        up = np.maximum(rows, 0.0).T @ c_kink
-        down = np.maximum(-rows, 0.0).T @ c_kink
-        return base + up, -base + down
-
-    # -- snapshots ----------------------------------------------------------
-
-    def to_json(self) -> str:
-        """Serialize unit rows and coefficients (fit covariance is not included)."""
-        payload = {
-            "weights": self.weights.tolist(),
-            "biases": self.biases.tolist(),
-            "coeffs": self.coeffs.tolist(),
-        }
-        return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ReluSurrogate":
-        payload = json.loads(text)
-        return cls(payload["weights"], payload["biases"], payload["coeffs"])
+        return base + self._rows_up.T @ c_kink, -base + self._rows_down.T @ c_kink
 
 
 # -- basis construction ------------------------------------------------------
@@ -393,9 +376,7 @@ def build_surrogate(space: SearchSpace, rng: RandomStream) -> ReluSurrogate:
     coeffs = np.concatenate([np.ones(1 + n_int_units), np.zeros(n_mixed)])
     fit = RecursiveLeastSquares(coeffs, lam=REGULARISER)
     rows, row_of = _grouped_rows(rows, row_of)
-    model = ReluSurrogate(rows[row_of], biases, fit.coeffs, rls=fit)
-    model._rows, model._row_of = rows, row_of
-    return model
+    return ReluSurrogate(rows, row_of, biases, fit.coeffs, rls=fit)
 
 
 def _distinct_rows(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -425,126 +406,3 @@ def _grouped_rows(rows: np.ndarray, row_of: np.ndarray) -> tuple[np.ndarray, np.
     row_of = row_of.copy()
     row_of[m - tail :] = len(rows) + pad + np.arange(tail)
     return grouped, row_of
-
-
-# -- exhaustive vertex enumeration (test support) -----------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class Vertex:
-    """Intersection point of dim kink hyperplanes."""
-
-    point: MixedPoint
-    unit_indices: tuple[int, ...]
-    in_bounds: bool
-
-
-def enumerate_vertices(
-    model: ReluSurrogate, space: SearchSpace, max_subsets: int = 2_000_000
-) -> list[Vertex]:
-    """All kink intersections defined by linearly independent unit subsets.
-
-    Every size-dim subset of units whose weight vectors are linearly
-    independent contributes one vertex (the simultaneous zero of its units);
-    vertices outside the box are returned too, flagged by ``in_bounds``.
-    Intended for small models only; raises TooLargeError when the subset
-    count exceeds ``max_subsets``, and DimensionMismatchError when the mixed
-    rows span more than n_continuous dimensions.
-    """
-    if model.dim != space.dim:
-        raise DimensionMismatchError(f"model dim {model.dim} != space dim {space.dim}")
-    m, dim = model.n_units, space.dim
-    total = math.comb(m, dim)
-    if total > max_subsets:
-        raise TooLargeError(f"{total} subsets exceed the enumeration budget {max_subsets}")
-    if total == 0:
-        return []
-
-    nc, nd = space.n_continuous, space.n_integer
-    weights, biases = model.weights, model.biases
-    # a unit's kind is read off its row: 0 constant (all-zero row), 1 integer
-    # (zero continuous block), 2 mixed (anything else)
-    kinds = np.where(np.any(weights != 0.0, axis=1), 1, 0)
-    kinds[np.any(weights[:, :nc] != 0.0, axis=1)] = 2
-    # only when mixed rows span at most nc dimensions is "independent subset"
-    # the same as "nd integer units with invertible integer block plus nc
-    # mixed units with invertible continuous block"
-    mixed_rows = weights[kinds == 2]
-    rank = np.linalg.matrix_rank(mixed_rows) if len(mixed_rows) else 0
-    if rank > nc:
-        raise DimensionMismatchError(
-            f"mixed unit rows span {rank} dimensions, more than the {nc} continuous ones"
-        )
-    subsets = np.array(list(itertools.combinations(range(m), dim)), dtype=int)
-    keep = _structural_candidates(subsets, kinds, nc, nd)
-    return _solve_structured(subsets[keep], kinds, weights, biases, space)
-
-
-def _structural_candidates(
-    subsets: np.ndarray, kinds: np.ndarray, nc: int, nd: int
-) -> np.ndarray:
-    """Mask of subsets that can possibly be independent: exactly nd integer
-    units and nc mixed units, no constant (its weight vector is zero)."""
-    sub_kinds = kinds[subsets]
-    return (
-        np.all(sub_kinds != 0, axis=1)
-        & (np.sum(sub_kinds == 1, axis=1) == nd)
-        & (np.sum(sub_kinds == 2, axis=1) == nc)
-    )
-
-
-def _solve_structured(
-    subsets: np.ndarray,
-    kinds: np.ndarray,
-    weights: np.ndarray,
-    biases: np.ndarray,
-    space: SearchSpace,
-) -> list[Vertex]:
-    """Block solve: integer units pin the integer coordinates (an integral
-    difference system, solved on its own so its exactness never degrades
-    through the mixed rows), then mixed units pin the continuous ones."""
-    if len(subsets) == 0:
-        return []
-    nc, nd = space.n_continuous, space.n_integer
-    # order each subset integer-units-first; built models already are, but
-    # hand-built ones need not be
-    order = np.argsort(kinds[subsets], axis=1, kind="stable")
-    ordered = np.take_along_axis(subsets, order, axis=1)
-    int_part, mix_part = ordered[:, :nd], ordered[:, nd:]
-
-    a_int = weights[int_part][:, :, nc:]
-    b_int = biases[int_part]
-    ok = np.abs(np.linalg.det(a_int)) > 0.5  # entries are integers, so det is too
-    if nc > 0:
-        v_mix = weights[mix_part][:, :, :nc]
-        sv = np.linalg.svd(v_mix, compute_uv=False)
-        ok &= sv[:, -1] > 1e-9 * np.maximum(sv[:, 0], np.finfo(float).tiny)
-    if not np.any(ok):
-        return []
-
-    xd = np.linalg.solve(a_int[ok], -b_int[ok][..., None])[..., 0]
-    if nc > 0:
-        w_mix_d = weights[mix_part[ok]][:, :, nc:]
-        rhs = -(biases[mix_part[ok]] + np.einsum("nij,nj->ni", w_mix_d, xd))
-        xc = np.linalg.solve(v_mix[ok], rhs[..., None])[..., 0]
-    else:
-        xc = np.zeros((len(xd), 0))
-    return _collect(subsets[ok], xc, xd, space)
-
-
-def _collect(
-    subsets: np.ndarray, xc: np.ndarray, xd: np.ndarray, space: SearchSpace
-) -> list[Vertex]:
-    slack = 1e-12
-    lo_c, up_c = space.continuous_lower, space.continuous_upper
-    lo_d, up_d = space.integer_lower, space.integer_upper
-    inside = (
-        np.all(xc >= lo_c - slack, axis=1)
-        & np.all(xc <= up_c + slack, axis=1)
-        & np.all(xd >= lo_d - slack, axis=1)
-        & np.all(xd <= up_d + slack, axis=1)
-    )
-    return [
-        Vertex(MixedPoint(xc[i], xd[i]), tuple(int(j) for j in subsets[i]), bool(inside[i]))
-        for i in range(len(subsets))
-    ]

@@ -21,13 +21,8 @@ from mvrsm.explore import perturb_continuous, perturb_integer
 from mvrsm.objectives import make_benchmark
 from mvrsm.rls import RecursiveLeastSquares
 from mvrsm.space import SearchSpace, VariableSpec
-from mvrsm.surrogate import (
-    build_surrogate,
-    corner_points,
-    enumerate_vertices,
-    mixed_units,
-    sample_directions,
-)
+from mvrsm.surrogate import build_surrogate, corner_points, mixed_units, sample_directions
+from vertices import enumerate_vertices
 
 
 def random_mixed_space(rng, d_c, d_d, int_width=(1, 2), cont_width=(0.5, 2.0)):

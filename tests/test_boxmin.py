@@ -42,7 +42,7 @@ def line_space(lo=0.0, up=3.0):
 def scalar_model(units, coeffs):
     """1-D model from (weight, bias) pairs."""
     weights, biases = zip(*units)
-    return ReluSurrogate(np.array(weights, float)[:, None], biases, coeffs)
+    return ReluSurrogate.from_weights(np.array(weights, float)[:, None], biases, coeffs)
 
 
 def start(space, *coords):
@@ -128,7 +128,7 @@ def test_escapes_kink_point_where_averaged_gradient_misleads():
     space = SearchSpace(
         (VariableSpec("integer", 0, 2), VariableSpec("integer", 0, 2))
     )
-    model = ReluSurrogate(
+    model = ReluSurrogate.from_weights(
         np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]]),
         np.array([-1.0, 1.0, 1.0]),
         np.array([5.0, 6.0, 0.5]),
@@ -184,25 +184,7 @@ class CountingProducts(np.ndarray):
         return super().__matmul__(other)
 
 
-class TracedWeights(np.ndarray):
-    """Dense unit rows that log every matrix product taken with them, or with
-    any view, slice or elementwise result derived from them."""
-
-    def __array_finalize__(self, obj):
-        self.log = getattr(obj, "log", None)
-
-    def __matmul__(self, other):
-        if self.log is not None:
-            self.log.append("matmul")
-        return super().__matmul__(other)
-
-    def __rmatmul__(self, other):
-        if self.log is not None:
-            self.log.append("rmatmul")
-        return super().__rmatmul__(other)
-
-
-def test_descent_forms_each_points_preactivations_once():
+def test_descent_forms_each_points_preactivations_once(monkeypatch):
     space, objective = make_benchmark("ackley53", rng=np.random.default_rng([0, 1]))
     rng = np.random.default_rng(0)
     model = build_surrogate(space, rng)
@@ -211,14 +193,16 @@ def test_descent_forms_each_points_preactivations_once():
         model.rls.update(model.features(p.flatten()), objective(p))
     best = min(samples, key=lambda p: model.value(p.flatten()))
 
-    # every product is formed on the distinct unit rows, none on the dense
-    # weights (assigning weights drops the factorisation, so the rows follow)
-    rows, row_of = model._rows.view(CountingProducts), model._row_of
+    # every product is formed on the distinct unit rows; the dense weights
+    # are never even formed
+    rows = model.rows.view(CountingProducts)
     rows.log = []
-    weights = model.weights.view(TracedWeights)
-    weights.log = []
-    model.weights = weights
-    model._rows, model._row_of = rows, row_of
+    model.rows = rows
+    dense_reads = []
+    dense = ReluSurrogate.weights.fget
+    monkeypatch.setattr(
+        ReluSurrogate, "weights", property(lambda m: dense_reads.append(m) or dense(m))
+    )
     evaluated = set()
     calls = []
     for name in ("features", "value", "gradient", "directional_derivative", "axis_derivatives"):
@@ -247,7 +231,7 @@ def test_descent_forms_each_points_preactivations_once():
     assert calls.count("gradient") > 0
     # this descent needs no axis moves; they are formed on the rows too
     model.axis_derivatives(best.flatten())
-    assert weights.log == []
+    assert dense_reads == []
 
 
 def reference_line_search(model, x, f, direction, alpha, lower, upper, step_tol):
@@ -286,7 +270,7 @@ def test_line_search_matches_the_rule_that_forms_every_slope(
     weights = rng.choice([-1.0, -0.5, 0.0, 0.3, 0.5, 1.0], size=(units, dim))
     biases = rng.integers(-2, 3, size=units).astype(float)
     coeffs = rng.uniform(-1.0, 1.0, units)
-    model = ReluSurrogate(
+    model = ReluSurrogate.from_weights(
         np.vstack([np.zeros(dim), weights]),
         np.concatenate([[1.0], biases]),
         np.concatenate([[level], coeffs]),

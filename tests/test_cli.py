@@ -138,6 +138,7 @@ def test_custom_space_and_objective_parse(tmp_path):
         ([{"kind": "integer", "lower": False, "upper": True}], r"space\[0\].*finite numbers"),
         ([{"kind": "integer", "lower": "0", "upper": 4}], r"space\[0\].*finite numbers"),
         ([{"kind": "continuous", "lower": 0.0, "upper": float("inf")}], "finite numbers"),
+        ([{"kind": "binary", "lower": 0, "upper": 1}], "invalid space"),
     ],
 )
 def test_bad_space_entries(tmp_path, space, fragment):
@@ -376,3 +377,12 @@ def test_main_reports_summarize_errors(tmp_path, capsys):
     (tmp_path / "empty").mkdir()
     assert main(["summarize", str(tmp_path / "empty")]) == 1
     assert "error:" in capsys.readouterr().err
+    # an empty trace file, a header-only one, and one with a non-numeric cell
+    header = "iter,y,best_y,step_seconds,xc0\n"
+    cases = {"blank": "", "header": header, "text": header + "1,2.0,abc,0.1,0.5\n"}
+    for case, text in cases.items():
+        (tmp_path / case).mkdir()
+        (tmp_path / case / "rs_seed0.csv").write_text(text)
+        assert main(["summarize", str(tmp_path / case)]) == 1, case
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "rs_seed0.csv" in err, (case, err)

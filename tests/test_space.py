@@ -59,8 +59,9 @@ def test_empty_space_rejected():
 
 
 def test_unknown_kind_rejected():
-    with pytest.raises(ValueError):
-        SearchSpace((VariableSpec("categorical", 0, 1),))
+    with pytest.raises(ValueError) as err:
+        SearchSpace((VariableSpec("integer", 0, 1), VariableSpec("categorical", 0, 1)))
+    assert isinstance(err.value, MvrsmError) and err.value.index == 1
 
 
 def test_inverted_bounds_rejected():

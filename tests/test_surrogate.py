@@ -1,27 +1,23 @@
 """Tests for the ReLU surrogate: basis construction, evaluation, vertices."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import one_blas_thread
-from mvrsm.errors import (
-    DimensionMismatchError,
-    EmptyDirectionSetError,
-    TooLargeError,
-)
+from mvrsm.errors import DimensionMismatchError, EmptyDirectionSetError
 from mvrsm.objectives import make_benchmark
 from mvrsm.space import MixedPoint, SearchSpace, VariableSpec
 from mvrsm.surrogate import (
     ReluSurrogate,
-    _distinct_rows,
-    _grouped_rows,
     build_surrogate,
     corner_points,
-    enumerate_vertices,
     integer_units,
     mixed_units,
     sample_directions,
 )
+from vertices import TooLargeError, enumerate_vertices
 
 
 def int_space(*bounds):
@@ -42,7 +38,7 @@ def one_cont_two_int():
 def scalar_model(units, coeffs):
     """1-D model from (weight, bias) pairs."""
     weights, biases = zip(*units)
-    return ReluSurrogate(np.array(weights, float)[:, None], biases, coeffs)
+    return ReluSurrogate.from_weights(np.array(weights, float)[:, None], biases, coeffs)
 
 
 # -- integer basis ----------------------------------------------------------
@@ -255,6 +251,21 @@ def test_gradient_all_units_inactive():
     assert model.gradient(np.array([0.5])).tolist() == [0.0]
 
 
+@pytest.mark.parametrize(
+    "rows, row_of, biases, coeffs",
+    [
+        ([1.0, 2.0], [0], [0.0], [1.0]),  # rows not a matrix
+        ([[1.0], [2.0]], [0, 1], [0.0], [1.0]),  # more units than biases
+        ([[1.0], [2.0]], [1], [0.0], [1.0, 1.0]),  # more coefficients than units
+        ([[1.0], [2.0]], [2], [0.0], [1.0]),  # no such row
+        ([[1.0], [2.0]], [-1], [0.0], [1.0]),  # would wrap to the last row
+    ],
+)
+def test_inconsistent_unit_rows_rejected(rows, row_of, biases, coeffs):
+    with pytest.raises(DimensionMismatchError):
+        ReluSurrogate(rows, row_of, biases, coeffs)
+
+
 def test_dimension_mismatch_on_evaluation():
     model = scalar_model([(1, 0)], [1])
     with pytest.raises(DimensionMismatchError):
@@ -387,7 +398,7 @@ def test_remembered_preactivations_give_the_cold_results_bit_for_bit():
         if method == "update":
             model.rls.update(model.features(points[p]), 3.0)
             continue
-        cold = ReluSurrogate(model.weights, model.biases, model.coeffs)
+        cold = ReluSurrogate.from_weights(model.weights, model.biases, model.coeffs)
         warm_out = call(model, method, points[p], direction)
         assert bits(warm_out) == bits(call(cold, method, points[p], direction)), (method, p)
 
@@ -413,7 +424,7 @@ def forward_product_mismatches(seed: int) -> list:
     space, model = models[0][1], models[0][2]
     mixed = np.flatnonzero(np.any(model.weights[:, : space.n_continuous] != 0.0, axis=1))
     units = np.concatenate([rng.integers(model.n_units, size=100), rng.choice(mixed, 3)])
-    hand_built = ReluSurrogate(
+    hand_built = ReluSurrogate.from_weights(
         model.weights[units], rng.uniform(-1.0, 1.0, len(units)), np.ones(len(units))
     )
     models.append(("hand-built", space, hand_built))
@@ -464,10 +475,11 @@ def test_distinct_rows_reproduce_the_unit_rows():
     # on their own rows after whole 4-row groups
     space, _ = make_benchmark("ackley53")
     built = build_surrogate(space, np.random.default_rng(0))
-    hand_built = ReluSurrogate(built.weights[:-2], built.biases[:-2], built.coeffs[:-2])
-    hand_built.features(np.zeros(space.dim))
+    hand_built = ReluSurrogate.from_weights(
+        built.weights[:-2], built.biases[:-2], built.coeffs[:-2]
+    )
     for model in (built, hand_built):
-        rows, row_of = model._rows, model._row_of
+        rows, row_of = model.rows, model.row_of
         assert rows.flags.c_contiguous
         assert rows[row_of].tobytes() == model.weights.tobytes()
         m, tail = model.n_units, model.n_units % 4
@@ -475,7 +487,7 @@ def test_distinct_rows_reproduce_the_unit_rows():
         assert row_of[m - tail :].tolist() == list(range(len(rows) - tail, len(rows)))
         assert not np.isin(row_of[: m - tail], row_of[m - tail :]).any()
     # +-e_i, +-(e_i - e_{i-1}), the constant row and the directions, padded
-    assert len(built._rows) == 205
+    assert len(built.rows) == 205
 
 
 def test_built_layout_is_the_generic_layout_of_its_weights():
@@ -484,9 +496,22 @@ def test_built_layout_is_the_generic_layout_of_its_weights():
     for name in ("rosenbrock10", "ackley53", "rosenbrock238"):
         space, _ = make_benchmark(name)
         model = build_surrogate(space, np.random.default_rng(0))
-        rows, row_of = _grouped_rows(*_distinct_rows(model.weights))
-        assert model._rows.tobytes() == rows.tobytes(), name
-        assert model._row_of.tobytes() == row_of.tobytes(), name
+        hand_built = ReluSurrogate.from_weights(model.weights, model.biases, model.coeffs)
+        assert model.rows.tobytes() == hand_built.rows.tobytes(), name
+        assert model.row_of.tobytes() == hand_built.row_of.tobytes(), name
+
+
+def test_building_the_largest_model_allocates_no_dense_unit_rows():
+    # rosenbrock238: M = 6629 units over 238 coordinates, 597 distinct rows
+    space, _ = make_benchmark("rosenbrock238")
+    tracemalloc.start()
+    try:
+        model = build_surrogate(space, np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (model.n_units, model.dim) == (6629, 238)
+    assert peak < model.n_units * model.dim * 8 / 2
 
 
 # -- transpose products from the distinct unit rows -------------------------------
@@ -504,7 +529,9 @@ def transpose_product_cases(seed: int):
         models.append((name, space, build_surrogate(space, rng)))
     space, model = models[0][1], models[0][2]
     units = rng.integers(model.n_units, size=103)
-    hand_built = ReluSurrogate(model.weights[units], model.biases[units], np.ones(len(units)))
+    hand_built = ReluSurrogate.from_weights(
+        model.weights[units], model.biases[units], np.ones(len(units))
+    )
     models.append(("hand-built", space, hand_built))
     for name, space, model in models:
         model.coeffs[:] = rng.uniform(-1.0, 1.0, model.n_units)
@@ -564,37 +591,31 @@ def test_axis_derivatives_match_directional_derivatives_at_benchmark_size():
 
 def test_unit_rows_are_read_only():
     model = build_surrogate(one_cont_two_int(), np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        model.weights[1, 1] = 5.0
-    with pytest.raises(ValueError):
-        model.biases[0] = 2.0
+    for name in ("rows", "row_of", "biases", "weights"):
+        with pytest.raises(ValueError):
+            getattr(model, name)[1] = 0
+    with pytest.raises(AttributeError):
+        model.weights = model.weights * 2.0
 
 
-@pytest.mark.parametrize("attribute", ["weights", "biases"])
+@pytest.mark.parametrize("attribute", ["rows", "biases"])
 def test_reassigned_unit_rows_are_used_at_once(attribute):
     model = build_surrogate(one_cont_two_int(), np.random.default_rng(0))
-    x = np.array([0.3, 1.0, 2.0])
+    x = np.array([0.3, 1.0, 2.0])  # integral: integer units at their kinks
+    direction = np.array([0.5, -1.0, 1.0])
     before = model.features(x)
+    model.axis_derivatives(x)
     setattr(model, attribute, getattr(model, attribute) * 2.0)
     after = model.features(x)
     assert not np.array_equal(after, before)
     assert np.array_equal(after, np.maximum(model.weights @ x + model.biases, 0.0))
     assert not getattr(model, attribute).flags.writeable
-
-
-# -- serialization --------------------------------------------------------------
-
-
-def test_json_round_trip_is_exact():
-    space = one_cont_two_int()
-    model = build_surrogate(space, np.random.default_rng(20))
-    model.coeffs[:] = np.random.default_rng(21).uniform(-1, 1, model.n_units)
-    clone = ReluSurrogate.from_json(model.to_json())
-    assert np.array_equal(clone.weights, model.weights)
-    assert np.array_equal(clone.biases, model.biases)
-    assert np.array_equal(clone.coeffs, model.coeffs)
-    x = np.array([0.3, 1.0, 2.0])
-    assert clone.value(x) == model.value(x)
+    # every product, the kink terms of axis_derivatives included, follows the
+    # new rows as in a model built from them
+    fresh = ReluSurrogate(model.rows, model.row_of, model.biases, model.coeffs)
+    for method in ("value", "gradient", "directional_derivative", "axis_derivatives"):
+        expected = call(fresh, method, x, direction)
+        assert bits(call(model, method, x, direction)) == bits(expected), method
 
 
 # -- vertex enumeration ----------------------------------------------------------
@@ -605,7 +626,7 @@ def test_vertex_pinned_by_integer_unit():
     space = SearchSpace(
         (VariableSpec("continuous", -5, 5), VariableSpec("integer", -5, 5))
     )
-    model = ReluSurrogate(
+    model = ReluSurrogate.from_weights(
         np.array([[0.0, 1.0], [0.3, 0.2]]), np.array([-1.0, -0.5]), np.array([1.0, 1.0])
     )
     vertices = enumerate_vertices(model, space)
@@ -621,13 +642,15 @@ def test_dependent_subsets_are_skipped():
         (VariableSpec("continuous", -5, 5), VariableSpec("integer", -5, 5))
     )
     w = np.array([0.3, 0.2])
-    model = ReluSurrogate(np.array([w, w]), np.array([-0.5, 0.7]), np.array([1.0, 1.0]))
+    model = ReluSurrogate.from_weights(
+        np.array([w, w]), np.array([-0.5, 0.7]), np.array([1.0, 1.0])
+    )
     assert enumerate_vertices(model, space) == []
 
 
 def test_out_of_bounds_vertices_are_flagged():
     space = int_space((0, 3), (0, 3))
-    model = ReluSurrogate(np.eye(2), np.array([-5.0, -2.0]), np.array([1.0, 1.0]))
+    model = ReluSurrogate.from_weights(np.eye(2), np.array([-5.0, -2.0]), np.array([1.0, 1.0]))
     vertices = enumerate_vertices(model, space)
     assert len(vertices) == 1
     assert vertices[0].point.xd.tolist() == [5.0, 2.0]
@@ -639,7 +662,7 @@ def test_enumeration_rejects_mixed_rows_spanning_too_many_dimensions():
     space = SearchSpace(
         (VariableSpec("continuous", -5, 5), VariableSpec("integer", -5, 5))
     )
-    model = ReluSurrogate(
+    model = ReluSurrogate.from_weights(
         np.array([[0.3, 0.2], [0.1, -0.4]]), np.array([-0.5, 0.7]), np.array([1.0, 1.0])
     )
     with pytest.raises(DimensionMismatchError, match="span 2 dimensions"):
