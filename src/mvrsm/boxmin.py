@@ -14,10 +14,26 @@ by the model's exact one-sided directional derivative, and when no
 quasi-Newton direction is a true descent direction the loop falls back to the
 steepest feasible coordinate move (the natural escape on a surface whose
 kinks are mostly axis-aligned).
+
+The loop runs tens of thousands of line-search trials per run on models of a
+few hundred units, where call overhead dominates, so its scalar work is
+written in forms that make fewer calls and give the same bits as the library
+spellings: a norm is ``math.sqrt(v.dot(v))``, the ``dot`` and correctly
+rounded square root that ``np.linalg.norm`` runs for a vector; a scalar is
+checked with ``math.isfinite``; and each curvature pair carries the
+rho = 1 / s.y and gamma = s.y / y.y formed once when it is stored. Points are
+projected with the array method ``.clip(lower, upper)``, the same ufunc that
+``np.clip`` calls, without its dispatch wrapper. A pair
+``np.minimum(np.maximum(v, lower), upper)`` costs as much and gives the same
+bits for the per-coordinate bound arrays used here, but only because both
+ufuncs break signed-zero ties alike there (numpy 2.4): with scalar bounds
+``np.clip`` keeps a -0.0 on a zero bound where the pair returns +0.0, and
+points rounded by the driver carry -0.0.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -63,18 +79,19 @@ def minimize(
 ) -> BoxMinResult:
     """Descend the surrogate from ``start``, staying inside the box."""
     lower, upper = space.lower, space.upper
-    x = np.clip(start.flatten(), lower, upper)
+    x = start.flatten().clip(lower, upper)
     f = model.value(x)
     g = model.gradient(x)
     _check_finite(f, g)
 
-    pairs: deque[tuple[np.ndarray, np.ndarray]] = deque(maxlen=config.memory)
+    # curvature pairs (s, y, rho, gamma), oldest first
+    pairs: deque[tuple[np.ndarray, np.ndarray, float, float]] = deque(maxlen=config.memory)
     iterations = 0
 
     for _ in range(config.max_iters):
         # projected gradient: the component of -g that can actually move x
-        proj_grad = x - np.clip(x - g, lower, upper)
-        if np.linalg.norm(proj_grad) < config.grad_tol:
+        proj_grad = x - (x - g).clip(lower, upper)
+        if math.sqrt(proj_grad.dot(proj_grad)) < config.grad_tol:
             break
         iterations += 1
 
@@ -92,9 +109,9 @@ def minimize(
         g_new = model.gradient(x_new)
         _check_finite(f_new, g_new)
         s, y = x_new - x, g_new - g
-        sy = float(s @ y)
-        if sy > CURVATURE_EPS * np.linalg.norm(s) * np.linalg.norm(y):
-            pairs.append((s, y))
+        sy, yy = s.dot(y), y.dot(y)
+        if sy > CURVATURE_EPS * math.sqrt(s.dot(s)) * math.sqrt(yy):
+            pairs.append((s, y, 1.0 / sy, sy / yy))
         x, f, g = x_new, f_new, g_new
         if step_norm < config.step_tol:
             break
@@ -110,13 +127,13 @@ def _candidates(model, x, g, pairs, lower, upper):
     coordinate move is offered, sized to reach its bound in one step.
     """
     direction = _two_loop(g, pairs)
-    norm_d = float(np.linalg.norm(direction))
+    norm_d = math.sqrt(direction.dot(direction))
     if norm_d > 0.0 and model.directional_derivative(x, direction) < 0.0:
         # unit trial step once curvature pairs scale the direction; before
         # that, a unit-length steepest descent step
         yield direction, 1.0 if pairs else 1.0 / norm_d
     if pairs:
-        norm_g = float(np.linalg.norm(g))
+        norm_g = math.sqrt(g.dot(g))
         if norm_g > 0.0 and model.directional_derivative(x, -g) < 0.0:
             yield -g, 1.0 / norm_g
 
@@ -124,8 +141,8 @@ def _candidates(model, x, g, pairs, lower, upper):
     ascent = np.where(x < upper, ascent, np.inf)
     descent = np.where(x > lower, descent, np.inf)
     slopes = np.minimum(ascent, descent)
-    i = int(np.argmin(slopes))
-    if np.isfinite(slopes[i]) and slopes[i] < 0.0:
+    i = int(slopes.argmin())
+    if -math.inf < slopes[i] < 0.0:
         sign = 1.0 if ascent[i] <= descent[i] else -1.0
         coord = np.zeros_like(x)
         coord[i] = sign
@@ -144,13 +161,14 @@ def _line_search(model, x, f, direction, alpha, lower, upper, step_tol):
     formed only for trials that do not rise.
     """
     for _ in range(MAX_BACKTRACKS):
-        x_new = np.clip(x + alpha * direction, lower, upper)
+        x_new = (x + alpha * direction).clip(lower, upper)
         step = x_new - x
-        step_norm = float(np.linalg.norm(step))
+        step_norm = math.sqrt(step.dot(step))
         if step_norm < step_tol:
             return None
         f_new = model.value(x_new)
-        _check_finite(f_new, None)
+        if not math.isfinite(f_new):
+            raise NonFiniteError("surrogate value is not finite")
         if f_new <= f:
             predicted = model.directional_derivative(x, step)
             if predicted < 0.0 and f_new <= f + ARMIJO_C1 * predicted:
@@ -165,21 +183,19 @@ def _two_loop(g: np.ndarray, pairs) -> np.ndarray:
     if not pairs:
         return -q
     alphas = []
-    for s, y in reversed(pairs):
-        rho = 1.0 / (y @ s)
-        a = rho * (s @ q)
+    for s, y, rho, _ in reversed(pairs):
+        a = rho * s.dot(q)
         q -= a * y
-        alphas.append((a, rho, s, y))
-    s_last, y_last = pairs[-1]
-    q *= (s_last @ y_last) / (y_last @ y_last)
-    for a, rho, s, y in reversed(alphas):
-        b = rho * (y @ q)
+        alphas.append(a)
+    q *= pairs[-1][3]  # gamma of the newest pair
+    for (s, y, rho, _), a in zip(pairs, reversed(alphas)):
+        b = rho * y.dot(q)
         q += (a - b) * s
     return -q
 
 
-def _check_finite(f: float, g: np.ndarray | None) -> None:
-    if not np.isfinite(f):
+def _check_finite(f: float, g: np.ndarray) -> None:
+    if not math.isfinite(f):
         raise NonFiniteError("surrogate value is not finite")
-    if g is not None and not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise NonFiniteError("surrogate gradient is not finite")

@@ -165,8 +165,8 @@ def _validate_config(raw: dict, where: str) -> ExperimentConfig:
         _fail(where, f"budget {budget} is smaller than init_samples {init_samples}")
 
     seeds = raw.get("seeds")
-    if not isinstance(seeds, list) or not seeds or not all(_is_int(s) for s in seeds):
-        _fail(where, "'seeds' must be a non-empty list of integers")
+    if not isinstance(seeds, list) or not seeds or not all(_is_int(s) and s >= 0 for s in seeds):
+        _fail(where, "'seeds' must be a non-empty list of integers >= 0")
     if len(set(seeds)) != len(seeds):
         _fail(where, "'seeds' must not repeat")
 

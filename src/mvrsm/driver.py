@@ -14,7 +14,6 @@ includes objective evaluation time.
 from __future__ import annotations
 
 import csv
-import json
 import re
 import time
 from dataclasses import dataclass, field
@@ -52,6 +51,8 @@ class OptimizerConfig:
     boxmin: BoxMinConfig = BoxMinConfig()
 
     def __post_init__(self):
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if self.init_samples < 1:
             raise ValueError(f"init_samples must be >= 1, got {self.init_samples}")
         if self.budget < self.init_samples:
@@ -108,28 +109,6 @@ class RunTrace:
                     [r.index, repr(r.y), repr(r.best_y), repr(r.step_seconds)]
                     + [repr(float(v)) for v in r.point.flatten()]
                 )
-
-    def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh)
-
-    def to_dict(self) -> dict:
-        return {
-            "aborted": self.aborted,
-            "records": [
-                {
-                    "iter": r.index,
-                    "y": r.y,
-                    "best_y": r.best_y,
-                    "step_seconds": r.step_seconds,
-                    "xc": r.point.xc.tolist(),
-                    "xd": r.point.xd.tolist(),
-                    "best_xc": r.best_point.xc.tolist(),
-                    "best_xd": r.best_point.xd.tolist(),
-                }
-                for r in self.records
-            ],
-        }
 
 
 def read_trace_csv(path) -> dict[str, np.ndarray]:

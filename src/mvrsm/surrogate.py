@@ -106,8 +106,8 @@ class ReluSurrogate:
         if name in ("rows", "row_of", "biases"):
             value = np.asanyarray(value, dtype=np.intp if name == "row_of" else float)
             value.flags.writeable = False
-            # keyed on coordinate bytes, oldest first; values are (z, reused)
-            object.__setattr__(self, "_z_memo", {})
+            # (coordinate bytes, z, reused) per point, in the order to forget them
+            object.__setattr__(self, "_z_memo", [])
             if name == "rows":
                 # the rows' positive and negative parts, for the kink terms
                 # of axis_derivatives
@@ -150,14 +150,6 @@ class ReluSurrogate:
     def dim(self) -> int:
         return self.rows.shape[1]
 
-    def _coords(self, x) -> np.ndarray:
-        if isinstance(x, MixedPoint):
-            x = x.flatten()
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise DimensionMismatchError(f"point of shape {x.shape}, model dim {self.dim}")
-        return x
-
     def _forward(self, v: np.ndarray) -> np.ndarray:
         """weights @ v, formed from the distinct unit rows with the same bits."""
         return (self.rows @ v).take(self.row_of)
@@ -171,23 +163,31 @@ class ReluSurrogate:
 
         When a new point needs room, a point not used again since it was
         formed (a line-search trial rejected on its value) is forgotten first,
-        otherwise the least recently used one.
+        otherwise the least recently used one. The memo is kept in that
+        order: points not reused yet, oldest first, then reused points, least
+        recently used first.
         """
-        x = self._coords(x)
-        memo = self._z_memo
+        if isinstance(x, MixedPoint):
+            x = x.flatten()
+        x = np.asarray(x, dtype=float)
+        if x.shape != self.rows.shape[1:]:
+            raise DimensionMismatchError(f"point of shape {x.shape}, model dim {self.dim}")
         key = x.tobytes()
-        entry = memo.pop(key, None)
-        if entry is None:
-            z = self._forward(x)
-            z += self.biases
-            z.flags.writeable = False
-            if len(memo) == _MEMO_POINTS:
-                unused = (k for k, (_, reused) in memo.items() if not reused)
-                del memo[next(unused, next(iter(memo)))]
-            memo[key] = (z, False)
-        else:
-            z = entry[0]
-            memo[key] = (z, True)
+        memo = self._z_memo
+        for i, (known, z, _) in enumerate(memo):
+            if known == key:
+                del memo[i]
+                memo.append((key, z, True))
+                return z
+        z = self._forward(x)
+        z += self.biases
+        z.flags.writeable = False
+        if len(memo) == _MEMO_POINTS:
+            del memo[0]
+        i = len(memo)
+        while i and memo[i - 1][2]:
+            i -= 1
+        memo.insert(i, (key, z, False))
         return z
 
     def features(self, x) -> np.ndarray:
@@ -195,7 +195,7 @@ class ReluSurrogate:
         return np.maximum(self._preactivation(x), 0.0)
 
     def value(self, x) -> float:
-        return float(self.coeffs @ self.features(x))
+        return float(self.coeffs.dot(self.features(x)))
 
     def gradient(self, x) -> np.ndarray:
         """Subgradient sum_k c_k s(z_k) w_k with s = 1 above the kink, 0 below, 1/2 at it."""
@@ -216,15 +216,14 @@ class ReluSurrogate:
         """
         z = self._preactivation(x)
         direction = np.asarray(direction, dtype=float)
-        if direction.shape != (self.dim,):
+        if direction.shape != self.rows.shape[1:]:
             raise DimensionMismatchError(
                 f"direction of shape {direction.shape}, model dim {self.dim}"
             )
         rate = self._forward(direction)
         slope = np.where(z > 0.0, rate, 0.0)
-        at_kink = z == 0.0
-        slope[at_kink] = np.maximum(rate[at_kink], 0.0)
-        return float(self.coeffs @ slope)
+        np.maximum(rate, 0.0, out=slope, where=z == 0.0)
+        return float(self.coeffs.dot(slope))
 
     def axis_derivatives(self, x) -> tuple[np.ndarray, np.ndarray]:
         """One-sided derivatives along +e_i and -e_i for every coordinate.

@@ -1,5 +1,7 @@
 """Tests for the box-constrained descent loop."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,10 +9,10 @@ from hypothesis import strategies as st
 
 from mvrsm.boxmin import (
     ARMIJO_C1,
+    CURVATURE_EPS,
     MAX_BACKTRACKS,
     BoxMinConfig,
     BoxMinResult,
-    _check_finite,
     _line_search,
     minimize,
 )
@@ -243,7 +245,8 @@ def reference_line_search(model, x, f, direction, alpha, lower, upper, step_tol)
         if step_norm < step_tol:
             return None
         f_new = model.value(x_new)
-        _check_finite(f_new, None)
+        if not np.isfinite(f_new):
+            raise NonFiniteError("surrogate value is not finite")
         predicted = model.directional_derivative(x, step)
         if predicted < 0.0 and f_new <= f + ARMIJO_C1 * predicted:
             return x_new, f_new, step_norm
@@ -288,6 +291,145 @@ def test_line_search_matches_the_rule_that_forms_every_slope(
         assert got is not None
         assert got[0].tobytes() == expected[0].tobytes()
         assert got[1:] == expected[1:]
+
+
+def reference_minimize(model, space, start, config=BoxMinConfig()):
+    """The descent loop in its library spellings, as (point, value, iterations).
+
+    ``np.clip`` and ``np.linalg.norm`` throughout, curvature pairs kept as
+    (s, y), and rho = 1 / y.s and gamma = s.y / y.y of the newest pair formed
+    anew on every use. Trials follow ``reference_line_search``, which accepts
+    the same steps as the descent's own line search.
+    """
+    lower, upper = space.lower, space.upper
+    x = np.clip(start.flatten(), lower, upper)
+    f = model.value(x)
+    g = model.gradient(x)
+    pairs = deque(maxlen=config.memory)
+    iterations = 0
+    for _ in range(config.max_iters):
+        proj_grad = x - np.clip(x - g, lower, upper)
+        if np.linalg.norm(proj_grad) < config.grad_tol:
+            break
+        iterations += 1
+        step = None
+        for direction, alpha in reference_candidates(model, x, g, pairs, lower, upper):
+            step = reference_line_search(
+                model, x, f, direction, alpha, lower, upper, config.step_tol
+            )
+            if step is not None:
+                break
+        if step is None:
+            break
+        x_new, f_new, step_norm = step
+        g_new = model.gradient(x_new)
+        s, y = x_new - x, g_new - g
+        if float(s @ y) > CURVATURE_EPS * np.linalg.norm(s) * np.linalg.norm(y):
+            pairs.append((s, y))
+        x, f, g = x_new, f_new, g_new
+        if step_norm < config.step_tol:
+            break
+    return x, f, iterations
+
+
+def reference_candidates(model, x, g, pairs, lower, upper):
+    direction = reference_two_loop(g, pairs)
+    norm_d = float(np.linalg.norm(direction))
+    if norm_d > 0.0 and model.directional_derivative(x, direction) < 0.0:
+        yield direction, 1.0 if pairs else 1.0 / norm_d
+    if pairs:
+        norm_g = float(np.linalg.norm(g))
+        if norm_g > 0.0 and model.directional_derivative(x, -g) < 0.0:
+            yield -g, 1.0 / norm_g
+    ascent, descent = model.axis_derivatives(x)
+    ascent = np.where(x < upper, ascent, np.inf)
+    descent = np.where(x > lower, descent, np.inf)
+    slopes = np.minimum(ascent, descent)
+    i = int(np.argmin(slopes))
+    if np.isfinite(slopes[i]) and slopes[i] < 0.0:
+        sign = 1.0 if ascent[i] <= descent[i] else -1.0
+        coord = np.zeros_like(x)
+        coord[i] = sign
+        yield coord, float((upper[i] - x[i]) if sign > 0.0 else (x[i] - lower[i]))
+
+
+def reference_two_loop(g, pairs):
+    q = g.copy()
+    if not pairs:
+        return -q
+    alphas = []
+    for s, y in reversed(pairs):
+        rho = 1.0 / (y @ s)
+        a = rho * (s @ q)
+        q -= a * y
+        alphas.append((a, rho, s, y))
+    s_last, y_last = pairs[-1]
+    q *= (s_last @ y_last) / (y_last @ y_last)
+    for a, rho, s, y in reversed(alphas):
+        b = rho * (y @ q)
+        q += (a - b) * s
+    return -q
+
+
+def assert_descent_matches_reference(model, space, start, config=BoxMinConfig()):
+    res = minimize(model, space, start, config)
+    x, f, iterations = reference_minimize(model, space, start, config)
+    assert res.point.flatten().tobytes() == x.tobytes()
+    assert (res.value, res.iterations) == (f, iterations)
+    return res
+
+
+BOUNDS = ((-2.0, 2.0), (0.0, 2.0), (-2.0, 0.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    dim=st.integers(min_value=1, max_value=4),
+    units=st.integers(min_value=1, max_value=8),
+    starts=st.sampled_from(["integral", "random", "negative zero"]),
+    memory=st.integers(min_value=1, max_value=5),
+)
+def test_descent_matches_the_reference_loop_bit_for_bit(seed, dim, units, starts, memory):
+    # kinks on integral points, as in the line-search test; bounds at zero let
+    # a start hold -0.0 exactly on a bound, as rounded points do
+    rng = np.random.default_rng(seed)
+    kinds = [*rng.choice(["continuous", "integer"], size=dim - 1), "integer"]
+    space = SearchSpace(
+        tuple(VariableSpec(str(kind), *BOUNDS[rng.integers(3)]) for kind in kinds)
+    )
+    weights = rng.choice([-1.0, -0.5, 0.0, 0.3, 0.5, 1.0], size=(units, dim))
+    biases = rng.integers(-2, 3, size=units).astype(float)
+    model = ReluSurrogate.from_weights(
+        np.vstack([np.zeros(dim), weights]),
+        np.concatenate([[1.0], biases]),
+        np.concatenate([[rng.uniform(-1.0, 1.0)], rng.uniform(-1.0, 1.0, units)]),
+    )
+    lower, upper = space.lower, space.upper
+    if starts == "random":
+        x = rng.uniform(lower, upper)
+    else:
+        x = np.floor(rng.uniform(lower, upper + 1.0)).clip(lower, upper)
+    if starts == "negative zero":
+        x[x == 0.0] = -0.0
+    config = BoxMinConfig(memory=memory)
+    assert_descent_matches_reference(model, space, space.unflatten(x), config)
+
+
+@pytest.mark.parametrize("name", ["rosenbrock10", "ackley53", "rosenbrock238"])
+def test_benchmark_descents_match_the_reference_loop_bit_for_bit(name):
+    space, objective = make_benchmark(name, rng=np.random.default_rng([0, 1]))
+    rng = np.random.default_rng(5)
+    model = build_surrogate(space, rng)
+    for _ in range(12):
+        p = space.uniform_sample(rng)
+        model.rls.update(model.features(p.flatten()), objective(p))
+    iterations = 0
+    for _ in range(4):
+        iterations += assert_descent_matches_reference(
+            model, space, space.uniform_sample(rng)
+        ).iterations
+    assert iterations > 4
 
 
 def test_non_finite_model_raises():

@@ -85,6 +85,8 @@ def test_top_level_must_be_object(tmp_path):
         ({"noise": False}, "'noise'"),
         ({"noise": float("nan")}, "'noise'"),
         ({"boxmin_max_iters": True}, "'boxmin_max_iters'"),
+        # np.random.default_rng rejects a negative seed
+        ({"seeds": [-1]}, "'seeds'"),
     ],
 )
 def test_invalid_configs_rejected(tmp_path, mutation, fragment):

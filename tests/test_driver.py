@@ -1,7 +1,6 @@
 """Tests for the run loops, ask/tell session, and trace export."""
 
 import csv
-import json
 import time
 
 import numpy as np
@@ -40,6 +39,8 @@ def test_config_validation():
         OptimizerConfig(budget=10, init_samples=0)
     with pytest.raises(ValueError):
         OptimizerConfig(budget=10, init_samples=11)
+    with pytest.raises(ValueError, match="rng_seed"):
+        OptimizerConfig(budget=30, rng_seed=-1)
 
 
 def test_budget_equal_to_init_is_pure_random_phase():
@@ -274,27 +275,3 @@ def test_csv_without_a_named_column_rejected(tmp_path):
     path.write_text("iter,y,best,step_seconds,xc0,xd0\n1,2.0,2.0,0.1,0.5,1.0\n")
     with pytest.raises(ValueError, match="best_y"):
         read_trace_csv(path)
-
-
-def test_json_export_structure(tmp_path):
-    space = small_space()
-    trace = run_mvrsm(quadratic, space, OptimizerConfig(budget=25, rng_seed=12))
-    path = tmp_path / "trace.json"
-    trace.write_json(path)
-    with open(path) as fh:
-        data = json.load(fh)
-    assert data["aborted"] is False
-    assert len(data["records"]) == 25
-    first = data["records"][0]
-    assert set(first) == {
-        "iter",
-        "y",
-        "best_y",
-        "step_seconds",
-        "xc",
-        "xd",
-        "best_xc",
-        "best_xd",
-    }
-    assert first["iter"] == 1
-    assert len(first["xc"]) == 2 and len(first["xd"]) == 2
