@@ -8,7 +8,7 @@ come from box-constrained descent on the model followed by a randomized
 exploration step.
 """
 
-from .boxmin import BoxMinConfig, BoxMinResult, minimize
+from .boxmin import BoxMinResult, minimize
 from .driver import (
     MvrsmOptimizer,
     OptimizerConfig,
@@ -25,7 +25,6 @@ from .surrogate import ReluSurrogate, build_surrogate
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoxMinConfig",
     "BoxMinResult",
     "MixedPoint",
     "MvrsmError",

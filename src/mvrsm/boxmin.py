@@ -43,25 +43,15 @@ from .errors import NonFiniteError
 from .space import MixedPoint, SearchSpace
 from .surrogate import ReluSurrogate
 
-__all__ = ["BoxMinConfig", "BoxMinResult", "minimize"]
+__all__ = ["BoxMinResult", "minimize"]
 
+MAX_ITERS = 20  # default iteration cap of one descent
+MEMORY = 5  # curvature pairs kept
+GRAD_TOL = 1e-8  # stop once the projected gradient is this short
+STEP_TOL = 1e-12  # a step shorter than this ends the descent
 ARMIJO_C1 = 1e-4
 MAX_BACKTRACKS = 30
 CURVATURE_EPS = 1e-10
-
-
-@dataclass(frozen=True)
-class BoxMinConfig:
-    max_iters: int = 20
-    memory: int = 5
-    grad_tol: float = 1e-8
-    step_tol: float = 1e-12
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.memory < 1:
-            raise ValueError(f"memory must be >= 1, got {self.memory}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,9 +65,10 @@ def minimize(
     model: ReluSurrogate,
     space: SearchSpace,
     start: MixedPoint,
-    config: BoxMinConfig = BoxMinConfig(),
+    max_iters: int = MAX_ITERS,
 ) -> BoxMinResult:
-    """Descend the surrogate from ``start``, staying inside the box."""
+    """Descend the surrogate from ``start`` for at most ``max_iters`` iterations,
+    staying inside the box."""
     lower, upper = space.lower, space.upper
     x = start.flatten().clip(lower, upper)
     f = model.value(x)
@@ -85,21 +76,19 @@ def minimize(
     _check_finite(f, g)
 
     # curvature pairs (s, y, rho, gamma), oldest first
-    pairs: deque[tuple[np.ndarray, np.ndarray, float, float]] = deque(maxlen=config.memory)
+    pairs: deque[tuple[np.ndarray, np.ndarray, float, float]] = deque(maxlen=MEMORY)
     iterations = 0
 
-    for _ in range(config.max_iters):
+    for _ in range(max_iters):
         # projected gradient: the component of -g that can actually move x
         proj_grad = x - (x - g).clip(lower, upper)
-        if math.sqrt(proj_grad.dot(proj_grad)) < config.grad_tol:
+        if math.sqrt(proj_grad.dot(proj_grad)) < GRAD_TOL:
             break
         iterations += 1
 
         step = None
         for direction, alpha in _candidates(model, x, g, pairs, lower, upper):
-            step = _line_search(
-                model, x, f, direction, alpha, lower, upper, config.step_tol
-            )
+            step = _line_search(model, x, f, direction, alpha, lower, upper)
             if step is not None:
                 break
         if step is None:
@@ -113,7 +102,7 @@ def minimize(
         if sy > CURVATURE_EPS * math.sqrt(s.dot(s)) * math.sqrt(yy):
             pairs.append((s, y, 1.0 / sy, sy / yy))
         x, f, g = x_new, f_new, g_new
-        if step_norm < config.step_tol:
+        if step_norm < STEP_TOL:
             break
 
     return BoxMinResult(point=space.unflatten(x), value=f, iterations=iterations)
@@ -150,7 +139,7 @@ def _candidates(model, x, g, pairs, lower, upper):
         yield coord, float(room)
 
 
-def _line_search(model, x, f, direction, alpha, lower, upper, step_tol):
+def _line_search(model, x, f, direction, alpha, lower, upper):
     """Backtrack until a trial point passes sufficient decrease, or give up.
 
     The decrease test compares against the exact one-sided slope along the
@@ -164,7 +153,7 @@ def _line_search(model, x, f, direction, alpha, lower, upper, step_tol):
         x_new = (x + alpha * direction).clip(lower, upper)
         step = x_new - x
         step_norm = math.sqrt(step.dot(step))
-        if step_norm < step_tol:
+        if step_norm < STEP_TOL:
             return None
         f_new = model.value(x_new)
         if not math.isfinite(f_new):

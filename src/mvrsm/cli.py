@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .boxmin import BoxMinConfig
+from .boxmin import MAX_ITERS
 from .driver import (
     OptimizerConfig,
     read_trace_csv,
@@ -84,15 +84,15 @@ class ExperimentConfig:
     objective: dict | None = None
     init_samples: int = 24
     noise_high: float = DEFAULT_NOISE_HIGH
-    boxmin_max_iters: int = 20
+    boxmin_max_iters: int = MAX_ITERS
 
 
 def load_config(path) -> ExperimentConfig:
     """Parse and validate a JSON config file; errors carry file positions."""
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: cannot read config: {exc}") from exc
     try:
         raw = json.loads(text)
@@ -154,6 +154,8 @@ def _validate_config(raw: dict, where: str) -> ExperimentConfig:
     for algo in algorithms:
         if algo not in ALGORITHMS:
             _fail(where, f"unknown algorithm {algo!r}; available: {sorted(ALGORITHMS)}")
+    if len(set(algorithms)) != len(algorithms):
+        _fail(where, "'algorithms' must not repeat")
 
     budget = raw.get("budget")
     if not _is_int(budget) or budget < 1:
@@ -178,7 +180,7 @@ def _validate_config(raw: dict, where: str) -> ExperimentConfig:
     if not _is_finite_number(noise) or noise < 0:
         _fail(where, "'noise' must be a number >= 0")
 
-    boxmin_max_iters = raw.get("boxmin_max_iters", 20)
+    boxmin_max_iters = raw.get("boxmin_max_iters", MAX_ITERS)
     if not _is_int(boxmin_max_iters) or boxmin_max_iters < 1:
         _fail(where, "'boxmin_max_iters' must be a positive integer")
 
@@ -279,7 +281,7 @@ def run_experiment(config: ExperimentConfig, out=None) -> dict:
                 budget=config.budget,
                 init_samples=config.init_samples,
                 rng_seed=seed,
-                boxmin=BoxMinConfig(max_iters=config.boxmin_max_iters),
+                max_iters=config.boxmin_max_iters,
             )
             path = out_dir / f"{algo}_seed{seed}.csv"
             try:
@@ -311,10 +313,7 @@ def _summary_rows(trace_paths) -> list[dict]:
     """Per-iteration best-so-far statistics per algorithm, plus mean step time."""
     by_algo: dict[str, list[dict]] = {}
     for path in trace_paths:
-        name = Path(path).name
-        if "_seed" not in name:
-            raise LengthMismatchError(f"trace file name {name!r} lacks an '_seed' tag")
-        by_algo.setdefault(name.split("_seed")[0], []).append(read_trace_csv(path))
+        by_algo.setdefault(Path(path).name.split("_seed")[0], []).append(read_trace_csv(path))
     if not by_algo:
         raise LengthMismatchError("no trace files to summarize")
 

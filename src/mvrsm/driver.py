@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .boxmin import BoxMinConfig, minimize
+from .boxmin import MAX_ITERS, minimize
 from .errors import MalformedTraceError, ObjectiveFailureError, ProtocolViolationError
 from .explore import perturb_continuous, perturb_integer
 from .space import MixedPoint, SearchSpace
@@ -48,13 +48,15 @@ class OptimizerConfig:
     budget: int
     init_samples: int = 24
     rng_seed: int = 0
-    boxmin: BoxMinConfig = BoxMinConfig()
+    max_iters: int = MAX_ITERS  # iteration cap of each box descent
 
     def __post_init__(self):
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if self.init_samples < 1:
             raise ValueError(f"init_samples must be >= 1, got {self.init_samples}")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.budget < self.init_samples:
             raise ValueError(
                 f"budget {self.budget} is smaller than init_samples {self.init_samples}"
@@ -117,11 +119,15 @@ def read_trace_csv(path) -> dict[str, np.ndarray]:
     Columns are found by header name, so their order does not matter and
     other columns are ignored. ``coords`` holds the xc* columns, then the
     xd* columns, each block in index order. Raises MalformedTraceError for a
-    file without data rows, with ragged rows, a missing column or a
-    non-numeric cell.
+    file that is not UTF-8 text or that the csv module rejects, and for one
+    without data rows, with ragged rows, a missing column or a non-numeric
+    cell.
     """
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise MalformedTraceError(f"malformed trace file {path}: {exc}") from exc
     if len(rows) < 2 or any(len(row) != len(rows[0]) for row in rows[1:]):
         raise MalformedTraceError(f"malformed trace file {path}")
     header, body = rows[0], rows[1:]
@@ -205,7 +211,7 @@ class MvrsmOptimizer:
         if index == self.config.init_samples:
             self._current = self._best_point
         elif index > self.config.init_samples:
-            result = minimize(self.model, self.space, self._best_point, self.config.boxmin)
+            result = minimize(self.model, self.space, self._best_point, self.config.max_iters)
             proposal = self.space.project(result.point)
             self._current = MixedPoint(
                 perturb_continuous(self.space, proposal.xc, self._rng),

@@ -11,7 +11,6 @@ __all__ = [
     "NonNumericBoundError",
     "NoIntegerVariablesError",
     "DimensionMismatchError",
-    "EmptyDirectionSetError",
     "NonPositiveLambdaError",
     "NonFiniteError",
     "NonIntegralInputError",
@@ -76,10 +75,6 @@ class NoIntegerVariablesError(MvrsmError, ValueError):
 
 class DimensionMismatchError(MvrsmError, ValueError):
     """A point or vector does not match the expected dimension."""
-
-
-class EmptyDirectionSetError(MvrsmError, ValueError):
-    """Mixed units need a non-empty direction set when continuous variables exist."""
 
 
 class NonPositiveLambdaError(MvrsmError, ValueError):

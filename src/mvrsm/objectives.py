@@ -7,6 +7,7 @@ custom space is handled by the declaration-order mapping in SearchSpace.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -63,8 +64,8 @@ class NoisyObjective:
         rng: RandomStream | None = None,
         noise_high: float = DEFAULT_NOISE_HIGH,
     ):
-        if noise_high < 0:
-            raise ValueError(f"noise_high must be >= 0, got {noise_high!r}")
+        if not 0.0 <= noise_high < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"noise_high must be finite and >= 0, got {noise_high!r}")
         self._base = base
         self._rng = rng if rng is not None else np.random.default_rng()
         self.noise_high = float(noise_high)

@@ -71,9 +71,6 @@ class SearchSpace:
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
-        self.validate()
-
-    def validate(self) -> None:
         if len(self.variables) == 0:
             raise EmptySpaceError("a search space needs at least one variable")
         n_integer = 0
@@ -189,14 +186,6 @@ class SearchSpace:
         xd = np.clip(round_half_away(p.xd), self.integer_lower, self.integer_upper)
         return MixedPoint(xc, xd)
 
-    def clip(self, p: MixedPoint) -> MixedPoint:
-        """Clip both blocks into the box without rounding (relaxed projection)."""
-        self._check_point(p)
-        return MixedPoint(
-            np.clip(p.xc, self.continuous_lower, self.continuous_upper),
-            np.clip(p.xd, self.integer_lower, self.integer_upper),
-        )
-
     def uniform_sample(self, rng: RandomStream) -> MixedPoint:
         """Independent uniform draw: continuous on [l, u], integer uniform on {l..u}."""
         xc = rng.uniform(self.continuous_lower, self.continuous_upper)
@@ -204,10 +193,6 @@ class SearchSpace:
             self.integer_lower.astype(int), self.integer_upper.astype(int) + 1
         ).astype(float)
         return MixedPoint(np.atleast_1d(xc), np.atleast_1d(xd))
-
-    def flatten(self, p: MixedPoint) -> np.ndarray:
-        self._check_point(p)
-        return p.flatten()
 
     def unflatten(self, vec: np.ndarray) -> MixedPoint:
         vec = np.asarray(vec, dtype=float)

@@ -33,18 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EmptyDirectionSetError
+from .errors import DimensionMismatchError
 from .rls import RecursiveLeastSquares
-from .space import MixedPoint, SearchSpace
+from .space import SearchSpace
 
-__all__ = [
-    "ReluSurrogate",
-    "integer_units",
-    "sample_directions",
-    "corner_points",
-    "mixed_units",
-    "build_surrogate",
-]
+__all__ = ["ReluSurrogate", "sample_directions", "corner_points", "build_surrogate"]
 
 RandomStream = np.random.Generator
 
@@ -65,9 +58,11 @@ _GEMV_GROUP = 4
 class ReluSurrogate:
     """The fitted model: unit rows are frozen after construction, coefficients are not.
 
-    Unit k is row ``row_of[k]`` of ``rows`` (block layout [continuous;
-    integer]) plus ``biases[k]``: integer units are +-e_i or +-(e_i - e_{i-1})
-    and mixed units share n_continuous directions, so the M = 6629 units of
+    Every method takes a point (and a direction) as one flat float vector in
+    block layout [continuous; integer], as ``MixedPoint.flatten`` gives it.
+    Unit k is row ``row_of[k]`` of ``rows`` (in that layout) plus
+    ``biases[k]``: integer units are +-e_i or +-(e_i - e_{i-1}) and mixed
+    units share n_continuous directions, so the M = 6629 units of
     rosenbrock238 have 597 distinct rows. The dense unit rows,
     ``weights == rows[row_of]``, are formed only when read, for inspection;
     ``from_weights`` factors a model built by hand from them. The model owns
@@ -167,8 +162,6 @@ class ReluSurrogate:
         order: points not reused yet, oldest first, then reused points, least
         recently used first.
         """
-        if isinstance(x, MixedPoint):
-            x = x.flatten()
         x = np.asarray(x, dtype=float)
         if x.shape != self.rows.shape[1:]:
             raise DimensionMismatchError(f"point of shape {x.shape}, model dim {self.dim}")
@@ -242,22 +235,14 @@ class ReluSurrogate:
 # -- basis construction ------------------------------------------------------
 
 
-def integer_units(space: SearchSpace) -> tuple[np.ndarray, np.ndarray]:
-    """The deterministic block as (weights, biases): one constant unit, then
-    every integer unit.
-
-    Ordering is fixed: constant; single-variable units by variable, then
-    threshold, then sign (+ before -); adjacent-pair units likewise.
-    """
-    rows, row_of, biases = _integer_block(space)
-    return rows[row_of], biases
-
-
 def _integer_block(space: SearchSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``integer_units`` factored as (distinct rows, row of each unit, biases).
+    """The deterministic units, one constant unit then every integer unit, as
+    (distinct rows, row of each unit, biases).
 
-    The rows are the constant unit's zero row, then a + and a - row for
-    each integer variable i (+-e_i) and each adjacent pair (+-(e_i - e_{i-1})).
+    Unit order is fixed: constant; single-variable units by variable, then
+    threshold, then sign (+ before -); adjacent-pair units likewise. The rows
+    are the constant unit's zero row, then a + and a - row for each integer
+    variable i (+-e_i) and each adjacent pair (+-(e_i - e_{i-1})).
     """
     nc, nd = space.n_continuous, space.n_integer
     lo = space.integer_lower.astype(int)
@@ -310,30 +295,17 @@ def corner_points(space: SearchSpace, weights: np.ndarray) -> tuple[np.ndarray, 
     return min_corner, max_corner
 
 
-def mixed_units(
+def _draw_mixed_units(
     space: SearchSpace, directions: np.ndarray, count: int, rng: RandomStream
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``count`` mixed units as (weights, biases), with kink hyperplanes
-    guaranteed to cross the box.
+    """``count`` mixed units as (direction index of each unit, biases), with
+    kink hyperplanes guaranteed to cross the box.
 
     For a direction w with extreme values lo = w . argmin and hi = w . argmax
     over the box, any bias in [-hi, -lo] puts the zero level set of
     w . x + bias inside the box; the bias is drawn uniformly from that range.
     Each unit draws its direction index and then its bias from ``rng``.
     """
-    directions = np.asarray(directions, dtype=float)
-    picks, biases = _draw_mixed_units(space, directions, count, rng)
-    return directions[picks], biases
-
-
-def _draw_mixed_units(
-    space: SearchSpace, directions: np.ndarray, count: int, rng: RandomStream
-) -> tuple[np.ndarray, np.ndarray]:
-    """``mixed_units`` as (direction index of each unit, biases)."""
-    if space.n_continuous >= 1 and len(directions) == 0:
-        raise EmptyDirectionSetError(
-            "a space with continuous variables needs at least one direction"
-        )
     ranges = []
     for w in directions:
         min_corner, max_corner = corner_points(space, w)

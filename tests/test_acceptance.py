@@ -21,7 +21,7 @@ from mvrsm.explore import perturb_continuous, perturb_integer
 from mvrsm.objectives import make_benchmark
 from mvrsm.rls import RecursiveLeastSquares
 from mvrsm.space import SearchSpace, VariableSpec
-from mvrsm.surrogate import build_surrogate, corner_points, mixed_units, sample_directions
+from mvrsm.surrogate import _draw_mixed_units, build_surrogate, corner_points, sample_directions
 from vertices import enumerate_vertices
 
 
@@ -80,7 +80,8 @@ def test_02_mixed_unit_kink_planes_cross_their_box():
             cont_width=(0.5, 4.0),
         )
         directions = sample_directions(space, rng)
-        for weights, bias in zip(*mixed_units(space, directions, 50, rng)):
+        picks, biases = _draw_mixed_units(space, directions, 50, rng)
+        for weights, bias in zip(directions[picks], biases):
             q1, q2 = corner_points(space, weights)
             assert weights @ q1 + bias <= 1e-12
             assert weights @ q2 + bias >= -1e-12

@@ -1,21 +1,23 @@
 """Tests for the box-constrained descent loop."""
 
 from collections import deque
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mvrsm import boxmin
 from mvrsm.boxmin import (
     ARMIJO_C1,
     CURVATURE_EPS,
     MAX_BACKTRACKS,
-    BoxMinConfig,
     BoxMinResult,
     _line_search,
     minimize,
 )
+from mvrsm.driver import OptimizerConfig
 from mvrsm.errors import NonFiniteError
 from mvrsm.objectives import make_benchmark
 from mvrsm.space import MixedPoint, SearchSpace, VariableSpec
@@ -52,10 +54,10 @@ def start(space, *coords):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        BoxMinConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        BoxMinConfig(memory=0)
+    # the descent's one setting is its cap, set through the run's config
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="max_iters"):
+            OptimizerConfig(budget=30, max_iters=cap)
 
 
 def test_zero_model_returns_start_without_iterating():
@@ -83,7 +85,7 @@ def test_v_shape_reaches_the_kink():
     model = scalar_model([(1, -1), (-1, 1)], [1.0, 1.0])
     oracle = golden_section(lambda t: model.value(np.array([t])), 0.0, 3.0)
     assert oracle == pytest.approx(1.0, abs=1e-8)
-    res = minimize(model, space, start(space, 0.2), BoxMinConfig(max_iters=20))
+    res = minimize(model, space, start(space, 0.2), max_iters=20)
     assert abs(res.point.xd[0] - oracle) <= 1e-3
 
 
@@ -117,7 +119,7 @@ def test_out_of_box_start_is_clipped_first():
 def test_iteration_budget_respected():
     space = line_space(0, 100)
     model = scalar_model([(1, -1), (-1, 1)], [1.0, 1.0])
-    res = minimize(model, space, start(space, 93.0), BoxMinConfig(max_iters=3))
+    res = minimize(model, space, start(space, 93.0), max_iters=3)
     assert res.iterations <= 3
 
 
@@ -282,9 +284,9 @@ def test_line_search_matches_the_rule_that_forms_every_slope(
     x = rng.integers(-2, 3, size=dim).astype(float) if integral else rng.uniform(-2, 2, dim)
     direction = rng.normal(size=dim)
     f = model.value(x)
-    args = (x, f, direction, alpha, lower, upper, 1e-12)
+    args = (x, f, direction, alpha, lower, upper)
     got = _line_search(model, *args)
-    expected = reference_line_search(model, *args)
+    expected = reference_line_search(model, *args, boxmin.STEP_TOL)
     if expected is None:
         assert got is None
     else:
@@ -293,29 +295,31 @@ def test_line_search_matches_the_rule_that_forms_every_slope(
         assert got[1:] == expected[1:]
 
 
-def reference_minimize(model, space, start, config=BoxMinConfig()):
+def reference_minimize(model, space, start):
     """The descent loop in its library spellings, as (point, value, iterations).
 
     ``np.clip`` and ``np.linalg.norm`` throughout, curvature pairs kept as
     (s, y), and rho = 1 / y.s and gamma = s.y / y.y of the newest pair formed
     anew on every use. Trials follow ``reference_line_search``, which accepts
-    the same steps as the descent's own line search.
+    the same steps as the descent's own line search. It runs to the default
+    cap. The memory and the tolerances are read from ``boxmin`` at each call,
+    as ``minimize`` reads them, so a test that patches one patches both loops.
     """
     lower, upper = space.lower, space.upper
     x = np.clip(start.flatten(), lower, upper)
     f = model.value(x)
     g = model.gradient(x)
-    pairs = deque(maxlen=config.memory)
+    pairs = deque(maxlen=boxmin.MEMORY)
     iterations = 0
-    for _ in range(config.max_iters):
+    for _ in range(boxmin.MAX_ITERS):
         proj_grad = x - np.clip(x - g, lower, upper)
-        if np.linalg.norm(proj_grad) < config.grad_tol:
+        if np.linalg.norm(proj_grad) < boxmin.GRAD_TOL:
             break
         iterations += 1
         step = None
         for direction, alpha in reference_candidates(model, x, g, pairs, lower, upper):
             step = reference_line_search(
-                model, x, f, direction, alpha, lower, upper, config.step_tol
+                model, x, f, direction, alpha, lower, upper, boxmin.STEP_TOL
             )
             if step is not None:
                 break
@@ -327,7 +331,7 @@ def reference_minimize(model, space, start, config=BoxMinConfig()):
         if float(s @ y) > CURVATURE_EPS * np.linalg.norm(s) * np.linalg.norm(y):
             pairs.append((s, y))
         x, f, g = x_new, f_new, g_new
-        if step_norm < config.step_tol:
+        if step_norm < boxmin.STEP_TOL:
             break
     return x, f, iterations
 
@@ -371,9 +375,9 @@ def reference_two_loop(g, pairs):
     return -q
 
 
-def assert_descent_matches_reference(model, space, start, config=BoxMinConfig()):
-    res = minimize(model, space, start, config)
-    x, f, iterations = reference_minimize(model, space, start, config)
+def assert_descent_matches_reference(model, space, start):
+    res = minimize(model, space, start)
+    x, f, iterations = reference_minimize(model, space, start)
     assert res.point.flatten().tobytes() == x.tobytes()
     assert (res.value, res.iterations) == (f, iterations)
     return res
@@ -412,8 +416,8 @@ def test_descent_matches_the_reference_loop_bit_for_bit(seed, dim, units, starts
         x = np.floor(rng.uniform(lower, upper + 1.0)).clip(lower, upper)
     if starts == "negative zero":
         x[x == 0.0] = -0.0
-    config = BoxMinConfig(memory=memory)
-    assert_descent_matches_reference(model, space, space.unflatten(x), config)
+    with patch.object(boxmin, "MEMORY", memory):
+        assert_descent_matches_reference(model, space, space.unflatten(x))
 
 
 @pytest.mark.parametrize("name", ["rosenbrock10", "ackley53", "rosenbrock238"])

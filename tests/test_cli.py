@@ -15,8 +15,9 @@ from mvrsm.cli import (
     run_experiment,
     summarize_directory,
 )
-from mvrsm.driver import RunTrace, read_trace_csv
+from mvrsm.driver import OptimizerConfig, RunTrace, read_trace_csv, run_mvrsm
 from mvrsm.errors import ConfigError, LengthMismatchError, ObjectiveFailureError
+from mvrsm.objectives import make_benchmark
 
 
 def write_config(tmp_path, raw):
@@ -87,6 +88,7 @@ def test_top_level_must_be_object(tmp_path):
         ({"boxmin_max_iters": True}, "'boxmin_max_iters'"),
         # np.random.default_rng rejects a negative seed
         ({"seeds": [-1]}, "'seeds'"),
+        ({"algorithms": ["rs", "rs"]}, "'algorithms' must not repeat"),
     ],
 )
 def test_invalid_configs_rejected(tmp_path, mutation, fragment):
@@ -214,6 +216,25 @@ def test_reruns_reproduce_everything_but_timing(tmp_path):
         np.testing.assert_array_equal(a["y"], b["y"])
         np.testing.assert_array_equal(a["best_y"], b["best_y"])
         np.testing.assert_array_equal(a["coords"], b["coords"])
+
+
+def test_boxmin_max_iters_is_the_runs_descent_cap(tmp_path):
+    raw = base_config(tmp_path, algorithms=["mvrsm"], seeds=[0], boxmin_max_iters=1)
+    (path,) = run_experiment(load_config(write_config(tmp_path, raw)))["traces"]
+    written = read_trace_csv(path)
+
+    def library_run(**config):
+        space, objective = make_benchmark(
+            "rosenbrock10", rng=np.random.default_rng([0, cli.NOISE_STREAM_TAG])
+        )
+        trace = run_mvrsm(objective, space, OptimizerConfig(budget=26, **config))
+        return trace.y_values(), np.array([r.point.flatten() for r in trace.records])
+
+    y, points = library_run(max_iters=1)
+    np.testing.assert_array_equal(written["y"], y)
+    np.testing.assert_array_equal(written["coords"], points)
+    # the cap changes this run, so a config that lost it would not match
+    assert not np.array_equal(library_run()[0], y)
 
 
 @pytest.mark.parametrize("name", ["ackley", "rosenbrock"])
@@ -361,11 +382,6 @@ def test_empty_directory_rejected(tmp_path):
         summarize_directory(tmp_path / "runs")
 
 
-def test_trace_name_needs_seed_tag(tmp_path):
-    with pytest.raises(LengthMismatchError, match="'_seed' tag"):
-        cli._summary_rows([tmp_path / "model.csv"])
-
-
 # -- entry point -------------------------------------------------------------
 
 
@@ -373,6 +389,26 @@ def test_main_reports_config_errors(tmp_path, capsys):
     path = write_config(tmp_path, {"budget": 10})
     assert main(["run", str(path)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_run_reports_a_config_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b"\xff\xfe{")
+    assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "config.json" in err
+
+
+def test_summarize_reports_an_unreadable_trace(tmp_path, capsys):
+    # bytes that do not decode, and a field longer than the csv module reads
+    header = "iter,y,best_y,step_seconds\n"
+    cases = {"bytes": b"\xff", "field": (header + "1," + "1" * 200_000 + ",1,0\n").encode()}
+    for case, data in cases.items():
+        (tmp_path / case).mkdir()
+        (tmp_path / case / "mvrsm_seed0.csv").write_bytes(data)
+        assert main(["summarize", str(tmp_path / case)]) == 1, case
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "mvrsm_seed0.csv" in err, (case, err)
 
 
 def test_main_reports_summarize_errors(tmp_path, capsys):

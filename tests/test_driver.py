@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from mvrsm import driver
 from mvrsm.driver import (
     MvrsmOptimizer,
     OptimizerConfig,
@@ -41,6 +42,23 @@ def test_config_validation():
         OptimizerConfig(budget=10, init_samples=11)
     with pytest.raises(ValueError, match="rng_seed"):
         OptimizerConfig(budget=30, rng_seed=-1)
+
+
+def test_the_cap_reaches_every_descent(monkeypatch):
+    descents = []
+    minimize = driver.minimize
+
+    def recording(*args, **kwargs):
+        result = minimize(*args, **kwargs)
+        descents.append(result.iterations)
+        return result
+
+    monkeypatch.setattr(driver, "minimize", recording)
+    run_mvrsm(quadratic, small_space(), OptimizerConfig(budget=40, rng_seed=1))
+    assert len(descents) == 40 - 24 and max(descents) > 1
+    descents.clear()
+    run_mvrsm(quadratic, small_space(), OptimizerConfig(budget=40, rng_seed=1, max_iters=1))
+    assert len(descents) == 40 - 24 and max(descents) == 1
 
 
 def test_budget_equal_to_init_is_pure_random_phase():

@@ -84,6 +84,14 @@ def test_negative_noise_band_rejected():
         NoisyObjective(lambda p: 0.0, noise_high=-1e-9)
 
 
+@pytest.mark.parametrize("noise_high", [float("nan"), float("inf")])
+def test_non_finite_noise_band_rejected(noise_high):
+    # NaN would switch the noise off (nan > 0 is False); inf would overflow
+    # at the first evaluation
+    with pytest.raises(ValueError, match="noise_high"):
+        NoisyObjective(lambda p: 0.0, noise_high=noise_high)
+
+
 def test_noise_stream_is_reproducible():
     a = NoisyObjective(lambda p: 0.0, rng=np.random.default_rng(5))
     b = NoisyObjective(lambda p: 0.0, rng=np.random.default_rng(5))

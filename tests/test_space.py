@@ -155,7 +155,7 @@ def test_declared_values_scatters_blocks_back():
 def test_flatten_unflatten_round_trip():
     space = mixed_space()
     p = MixedPoint(np.array([0.1, 0.2]), np.array([1.0, -1.0, 0.0]))
-    q = space.unflatten(space.flatten(p))
+    q = space.unflatten(p.flatten())
     assert np.array_equal(q.xc, p.xc)
     assert np.array_equal(q.xd, p.xd)
 
@@ -189,12 +189,6 @@ def test_project_rounds_then_clips():
     q = space.project(p)
     assert q.xc.tolist() == [-1.0, 2.0]
     assert q.xd.tolist() == [2.0, -2.0, 2.0]
-
-
-def test_clip_does_not_round():
-    space = mixed_space()
-    q = space.clip(MixedPoint(np.array([0.0, 0.0]), np.array([1.4, -9.0, 9.0])))
-    assert q.xd.tolist() == [1.4, -2.0, 2.0]
 
 
 @st.composite

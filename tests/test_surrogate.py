@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 import one_blas_thread
-from mvrsm.errors import DimensionMismatchError, EmptyDirectionSetError
+from mvrsm.errors import DimensionMismatchError
 from mvrsm.objectives import make_benchmark
-from mvrsm.space import MixedPoint, SearchSpace, VariableSpec
+from mvrsm.space import SearchSpace, VariableSpec
 from mvrsm.surrogate import (
     ReluSurrogate,
+    _draw_mixed_units,
+    _integer_block,
     build_surrogate,
     corner_points,
-    integer_units,
-    mixed_units,
     sample_directions,
 )
 from vertices import TooLargeError, enumerate_vertices
@@ -35,6 +35,12 @@ def one_cont_two_int():
     )
 
 
+def dense_integer_units(space):
+    """The constant and integer units as dense (weights, biases)."""
+    rows, row_of, biases = _integer_block(space)
+    return rows[row_of], biases
+
+
 def scalar_model(units, coeffs):
     """1-D model from (weight, bias) pairs."""
     weights, biases = zip(*units)
@@ -45,7 +51,7 @@ def scalar_model(units, coeffs):
 
 
 def test_single_binary_variable_basis():
-    weights, biases = integer_units(int_space((0, 1)))
+    weights, biases = dense_integer_units(int_space((0, 1)))
     assert weights.shape == (5, 1) and biases.shape == (5,)
     # the constant unit comes first
     assert weights[0].tolist() == [0.0] and biases[0] == 1.0
@@ -56,14 +62,14 @@ def test_single_binary_variable_basis():
 
 def test_two_variable_basis_count():
     # 1 constant + 2 * (2*3 singles) + 2*(3+3-1) pair units = 23
-    weights, biases = integer_units(int_space((0, 2), (0, 2)))
+    weights, biases = dense_integer_units(int_space((0, 2), (0, 2)))
     assert weights.shape == (23, 2) and biases.shape == (23,)
     assert np.all(np.any(weights[1:] != 0.0, axis=1))
 
 
 def test_pair_units_span_cross_differences():
     # thresholds for the pair block cover l2-u1 .. u2-l1
-    weights, biases = integer_units(int_space((0, 1), (3, 5)))
+    weights, biases = dense_integer_units(int_space((0, 1), (3, 5)))
     pair = np.count_nonzero(weights, axis=1) == 2
     rising = sorted(set(biases[pair & (weights[:, 1] == 1.0)].tolist()))
     # z = x2 - x1 - a for a in {3-1 .. 5-0} = {2..5}, stored bias is -a
@@ -74,7 +80,7 @@ def test_pair_units_span_cross_differences():
 
 def test_integer_units_have_zero_continuous_weights_and_integer_parameters():
     space = one_cont_two_int()
-    weights, biases = integer_units(space)
+    weights, biases = dense_integer_units(space)
     assert np.all(weights[:, : space.n_continuous] == 0.0)
     assert np.all(weights == np.round(weights))
     assert np.all(biases == np.round(biases))
@@ -83,7 +89,7 @@ def test_integer_units_have_zero_continuous_weights_and_integer_parameters():
 def test_integer_units_are_integral_on_integral_points():
     space = int_space((-2, 2), (-2, 2))
     rng = np.random.default_rng(0)
-    weights, biases = integer_units(space)
+    weights, biases = dense_integer_units(space)
     for _ in range(50):
         x = space.uniform_sample(rng).flatten()
         for w, b in zip(weights, biases):
@@ -107,8 +113,8 @@ def test_direction_set_shape_and_support():
 def test_no_continuous_variables_no_directions():
     dirs = sample_directions(int_space((0, 3)), np.random.default_rng(0))
     assert dirs.shape == (0, 1)
-    weights, biases = mixed_units(int_space((0, 3)), dirs, 0, np.random.default_rng(0))
-    assert weights.shape == (0, 1) and biases.shape == (0,)
+    picks, biases = _draw_mixed_units(int_space((0, 3)), dirs, 0, np.random.default_rng(0))
+    assert dirs[picks].shape == (0, 1) and biases.shape == (0,)
 
 
 def test_corner_points_sign_rule():
@@ -143,18 +149,19 @@ def test_mixed_unit_kinks_cross_the_box():
     space = one_cont_two_int()
     rng = np.random.default_rng(2)
     dirs = sample_directions(space, rng)
-    for w, b in zip(*mixed_units(space, dirs, 200, rng)):
+    picks, biases = _draw_mixed_units(space, dirs, 200, rng)
+    for w, b in zip(dirs[picks], biases):
         q1, q2 = corner_points(space, w)
         assert w @ q1 + b <= 1e-12
         assert w @ q2 + b >= -1e-12
 
 
 def test_mixed_unit_weights_come_from_the_direction_set():
+    # build_surrogate draws the directions first; units 23.. are the mixed ones
     space = one_cont_two_int()
-    rng = np.random.default_rng(2)
-    dirs = sample_directions(space, rng)
-    weights, _ = mixed_units(space, dirs, 50, rng)
-    for w in weights:
+    dirs = sample_directions(space, np.random.default_rng(2))
+    model = build_surrogate(space, np.random.default_rng(2))
+    for w in model.weights[23:]:
         assert any(np.array_equal(w, d) for d in dirs)
 
 
@@ -168,19 +175,13 @@ def test_mixed_units_draw_one_index_then_one_bias_per_unit():
     )
     dirs = sample_directions(space, np.random.default_rng(3))
     assert len(dirs) == 3
-    weights, biases = mixed_units(space, dirs, 40, np.random.default_rng(4))
+    picks, biases = _draw_mixed_units(space, dirs, 40, np.random.default_rng(4))
     ref = np.random.default_rng(4)
-    for w, b in zip(weights, biases):
+    for w, b in zip(dirs[picks], biases):
         d = dirs[ref.integers(len(dirs))]
         q1, q2 = corner_points(space, d)
         assert w.tobytes() == d.tobytes()
         assert b == ref.uniform(-float(d @ q2), -float(d @ q1))
-
-
-def test_mixed_units_need_directions():
-    space = one_cont_two_int()
-    with pytest.raises(EmptyDirectionSetError):
-        mixed_units(space, np.empty((0, 3)), 5, np.random.default_rng(0))
 
 
 # -- assembled model ----------------------------------------------------------
@@ -204,7 +205,7 @@ def test_build_surrogate_no_continuous_block():
     space = int_space((0, 2), (0, 2))
     model = build_surrogate(space, np.random.default_rng(0))
     assert model.n_units == 23
-    weights, biases = integer_units(space)
+    weights, biases = dense_integer_units(space)
     assert np.array_equal(model.weights, weights)
     assert np.array_equal(model.biases, biases)
 
@@ -272,13 +273,6 @@ def test_dimension_mismatch_on_evaluation():
         model.value(np.zeros(2))
     with pytest.raises(DimensionMismatchError):
         model.directional_derivative(np.zeros(1), np.zeros(2))
-
-
-def test_value_accepts_mixed_points():
-    space = one_cont_two_int()
-    model = build_surrogate(space, np.random.default_rng(0))
-    p = MixedPoint(np.array([0.5]), np.array([1.0, 2.0]))
-    assert model.value(p) == model.value(p.flatten())
 
 
 def test_piecewise_linearity_within_a_region():
