@@ -17,11 +17,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,18 +34,14 @@ from .driver import (
 )
 from .errors import (
     ConfigError,
+    InvalidSettingError,
     LengthMismatchError,
     MalformedTraceError,
     MvrsmError,
     ObjectiveFailureError,
+    VariableError,
 )
-from .objectives import (
-    BENCHMARKS,
-    DEFAULT_NOISE_HIGH,
-    OBJECTIVES,
-    make_benchmark,
-    make_objective,
-)
+from .objectives import BENCHMARKS, DEFAULT_NOISE_HIGH, make_benchmark, make_objective
 from .space import SearchSpace, VariableSpec
 
 __all__ = ["ExperimentConfig", "load_config", "run_experiment", "summarize_directory", "main"]
@@ -107,17 +102,21 @@ def _fail(where: str, message: str):
     raise ConfigError(f"{where}: {message}")
 
 
-def _is_int(value) -> bool:
-    # JSON true/false load as bool, which is a subclass of int
-    return isinstance(value, int) and not isinstance(value, bool)
+# the JSON key of each library setting that the config spells differently
+_JSON_KEYS = {"max_iters": "boxmin_max_iters", "rng_seed": "seeds", "noise_high": "noise"}
+_JSON_KEYS.update(name="objective.name", scale="objective.scale")
 
 
-def _is_finite_number(value) -> bool:
-    # json.loads accepts NaN and Infinity
-    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
+def _build(where: str, make, *args, **kwargs):
+    """Build a library object; a value it rejects is reported under its JSON key."""
+    try:
+        return make(*args, **kwargs)
+    except InvalidSettingError as exc:
+        _fail(where, f"{_JSON_KEYS.get(exc.field, exc.field)!r} {exc.reason}")
 
 
 def _validate_config(raw: dict, where: str) -> ExperimentConfig:
+    """Check the JSON shape; the library objects built from it check each value."""
     known = {
         "benchmark",
         "space",
@@ -134,55 +133,63 @@ def _validate_config(raw: dict, where: str) -> ExperimentConfig:
         if key not in known:
             _fail(where, f"unknown key {key!r}")
 
-    benchmark = raw.get("benchmark")
-    space = None
-    objective = None
-    if benchmark is not None:
-        if benchmark not in BENCHMARKS:
-            _fail(where, f"unknown benchmark {benchmark!r}; available: {sorted(BENCHMARKS)}")
-        if "space" in raw or "objective" in raw:
-            _fail(where, "give either 'benchmark' or 'space'+'objective', not both")
-    else:
-        if "space" not in raw or "objective" not in raw:
-            _fail(where, "need 'benchmark', or 'space' together with 'objective'")
-        space = _parse_space(raw["space"], where)
-        objective = _parse_objective(raw["objective"], where)
-
     algorithms = raw.get("algorithms", ["mvrsm", "rs"])
     if not isinstance(algorithms, list) or not algorithms:
         _fail(where, "'algorithms' must be a non-empty list")
     for algo in algorithms:
-        if algo not in ALGORITHMS:
+        if not isinstance(algo, str) or algo not in ALGORITHMS:
             _fail(where, f"unknown algorithm {algo!r}; available: {sorted(ALGORITHMS)}")
     if len(set(algorithms)) != len(algorithms):
         _fail(where, "'algorithms' must not repeat")
-
-    budget = raw.get("budget")
-    if not _is_int(budget) or budget < 1:
-        _fail(where, "'budget' must be a positive integer")
-    init_samples = raw.get("init_samples", 24)
-    if not _is_int(init_samples) or init_samples < 1:
-        _fail(where, "'init_samples' must be a positive integer")
-    if budget < init_samples:
-        _fail(where, f"budget {budget} is smaller than init_samples {init_samples}")
-
-    seeds = raw.get("seeds")
-    if not isinstance(seeds, list) or not seeds or not all(_is_int(s) and s >= 0 for s in seeds):
-        _fail(where, "'seeds' must be a non-empty list of integers >= 0")
-    if len(set(seeds)) != len(seeds):
-        _fail(where, "'seeds' must not repeat")
 
     output_dir = raw.get("output_dir")
     if not isinstance(output_dir, str) or not output_dir:
         _fail(where, "'output_dir' must be a non-empty string")
 
     noise = raw.get("noise", DEFAULT_NOISE_HIGH)
-    if not _is_finite_number(noise) or noise < 0:
-        _fail(where, "'noise' must be a number >= 0")
+    benchmark = raw.get("benchmark")
+    space = objective = None
+    if benchmark is not None:
+        if not isinstance(benchmark, str) or benchmark not in BENCHMARKS:
+            _fail(where, f"unknown benchmark {benchmark!r}; available: {sorted(BENCHMARKS)}")
+        if "space" in raw or "objective" in raw:
+            _fail(where, "give either 'benchmark' or 'space'+'objective', not both")
+        _, noisy = _build(where, make_benchmark, benchmark, noise_high=noise)
+    else:
+        if "space" not in raw or "objective" not in raw:
+            _fail(where, "need 'benchmark', or 'space' together with 'objective'")
+        entries = raw["space"]
+        if not isinstance(entries, list) or not entries:
+            _fail(where, "'space' must be a non-empty list of {kind, lower, upper} records")
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, dict) or set(entry) != {"kind", "lower", "upper"}:
+                _fail(where, f"space[{i}]: need exactly the keys kind, lower, upper")
+        try:
+            space = SearchSpace(tuple(VariableSpec(**entry) for entry in entries))
+        except VariableError as exc:
+            _fail(where, f"invalid space[{exc.index}]: {exc.reason}")
+        except MvrsmError as exc:
+            _fail(where, f"invalid space: {exc}")
+        entry = raw["objective"]
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+            _fail(where, "'objective' must be an object with a string 'name'")
+        extra = set(entry) - {"name", "scale"}
+        if extra:
+            _fail(where, f"'objective' has unknown keys {sorted(extra)}")
+        scale = entry.get("scale", 1.0)
+        noisy = _build(where, make_objective, space, entry["name"], scale, None, noise)
+        objective = {"name": entry["name"], "scale": float(scale)}
 
-    boxmin_max_iters = raw.get("boxmin_max_iters", MAX_ITERS)
-    if not _is_int(boxmin_max_iters) or boxmin_max_iters < 1:
-        _fail(where, "'boxmin_max_iters' must be a positive integer")
+    # each seed is checked, by the run config it seeds, before seeds are hashed
+    seeds = raw.get("seeds")
+    if not isinstance(seeds, list) or not seeds:
+        _fail(where, "'seeds' must be a non-empty list of integers >= 0")
+    budget, init_samples = raw.get("budget"), raw.get("init_samples", 24)
+    max_iters = raw.get("boxmin_max_iters", MAX_ITERS)
+    for seed in seeds:
+        _build(where, OptimizerConfig, budget, init_samples, seed, max_iters)
+    if len(set(seeds)) != len(seeds):
+        _fail(where, "'seeds' must not repeat")
 
     return ExperimentConfig(
         algorithms=tuple(algorithms),
@@ -193,39 +200,9 @@ def _validate_config(raw: dict, where: str) -> ExperimentConfig:
         space=space,
         objective=objective,
         init_samples=init_samples,
-        noise_high=float(noise),
-        boxmin_max_iters=boxmin_max_iters,
+        noise_high=noisy.noise_high,
+        boxmin_max_iters=max_iters,
     )
-
-
-def _parse_space(entries, where: str) -> SearchSpace:
-    if not isinstance(entries, list) or not entries:
-        _fail(where, "'space' must be a non-empty list of {kind, lower, upper} records")
-    specs = []
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict) or set(entry) != {"kind", "lower", "upper"}:
-            _fail(where, f"space[{i}]: need exactly the keys kind, lower, upper")
-        if not (_is_finite_number(entry["lower"]) and _is_finite_number(entry["upper"])):
-            _fail(where, f"space[{i}]: 'lower' and 'upper' must be finite numbers")
-        specs.append(VariableSpec(entry["kind"], entry["lower"], entry["upper"]))
-    try:
-        return SearchSpace(tuple(specs))
-    except MvrsmError as exc:
-        raise ConfigError(f"{where}: invalid space: {exc}") from exc
-
-
-def _parse_objective(entry, where: str) -> dict:
-    if not isinstance(entry, dict) or "name" not in entry:
-        _fail(where, "'objective' must be an object with a 'name'")
-    if entry["name"] not in OBJECTIVES:
-        _fail(where, f"unknown objective {entry['name']!r}; available: {sorted(OBJECTIVES)}")
-    extra = set(entry) - {"name", "scale"}
-    if extra:
-        _fail(where, f"'objective' has unknown keys {sorted(extra)}")
-    scale = entry.get("scale", 1.0)
-    if not _is_finite_number(scale) or scale <= 0:
-        _fail(where, "'objective.scale' must be a positive number")
-    return {"name": entry["name"], "scale": float(scale)}
 
 
 # -- running -------------------------------------------------------------------

@@ -14,6 +14,7 @@ includes objective evaluation time.
 from __future__ import annotations
 
 import csv
+import numbers
 import re
 import time
 from dataclasses import dataclass, field
@@ -22,7 +23,12 @@ from typing import Callable
 import numpy as np
 
 from .boxmin import MAX_ITERS, minimize
-from .errors import MalformedTraceError, ObjectiveFailureError, ProtocolViolationError
+from .errors import (
+    InvalidSettingError,
+    MalformedTraceError,
+    ObjectiveFailureError,
+    ProtocolViolationError,
+)
 from .explore import perturb_continuous, perturb_integer
 from .space import MixedPoint, SearchSpace
 from .surrogate import build_surrogate
@@ -45,21 +51,26 @@ _SCALAR_COLUMNS = ("iter", "y", "best_y", "step_seconds")
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """The four settings of a run, each an integer: a ``numbers.Integral``
+    other than a bool, so numpy integers pass and every float, 30.0 included,
+    fails. ``budget``, ``init_samples`` and ``max_iters`` must be >= 1,
+    ``rng_seed`` >= 0 and ``budget`` >= ``init_samples``. A bad value raises
+    ``InvalidSettingError``, a ``ValueError`` whose ``field`` names it."""
+
     budget: int
     init_samples: int = 24
     rng_seed: int = 0
     max_iters: int = MAX_ITERS  # iteration cap of each box descent
 
     def __post_init__(self):
-        if self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
-        if self.init_samples < 1:
-            raise ValueError(f"init_samples must be >= 1, got {self.init_samples}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        for name, least in (("budget", 1), ("init_samples", 1), ("rng_seed", 0), ("max_iters", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                wanted = "a positive integer" if least else "an integer >= 0"
+                raise InvalidSettingError(name, f"must be {wanted}, got {value!r}")
         if self.budget < self.init_samples:
-            raise ValueError(
-                f"budget {self.budget} is smaller than init_samples {self.init_samples}"
+            raise InvalidSettingError(
+                "budget", f"{self.budget} is smaller than init_samples {self.init_samples}"
             )
 
 

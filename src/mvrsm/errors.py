@@ -5,10 +5,12 @@ from __future__ import annotations
 __all__ = [
     "MvrsmError",
     "EmptySpaceError",
+    "VariableError",
     "UnknownKindError",
     "InvertedBoundsError",
     "NonIntegerBoundError",
     "NonNumericBoundError",
+    "InvalidSettingError",
     "NoIntegerVariablesError",
     "DimensionMismatchError",
     "NonPositiveLambdaError",
@@ -32,41 +34,40 @@ class EmptySpaceError(MvrsmError, ValueError):
     """A search space must declare at least one variable."""
 
 
-class UnknownKindError(MvrsmError, ValueError):
+class VariableError(MvrsmError, ValueError):
+    """A malformed search-space variable: ``index`` is its declaration position."""
+
+    def __init__(self, index: int, reason: str):
+        self.index = index
+        self.reason = reason
+        super().__init__(f"variable {index}: {reason}")
+
+
+class UnknownKindError(VariableError):
     """A variable's kind is neither "continuous" nor "integer"."""
 
-    def __init__(self, index: int, kind):
-        self.index = index
-        super().__init__(f"variable {index}: unknown kind {kind!r}")
 
-
-class InvertedBoundsError(MvrsmError, ValueError):
+class InvertedBoundsError(VariableError):
     """A variable's bounds are not a finite interval: lower > upper, or a
-    bound is not finite (infinite, NaN, or an int beyond the float range).
-
-    ``reason`` replaces the default "lower > upper" message when the bounds
-    are not finite, so the message names the bound at fault.
-    """
-
-    def __init__(self, index: int, lower: float, upper: float, reason: str | None = None):
-        self.index = index
-        super().__init__(f"variable {index}: {reason or f'lower {lower!r} > upper {upper!r}'}")
+    bound is not finite (infinite, NaN, or an int beyond the float range)."""
 
 
-class NonIntegerBoundError(MvrsmError, ValueError):
+class NonIntegerBoundError(VariableError):
     """An integer variable was declared with a non-integral bound."""
 
-    def __init__(self, index: int, value: float):
-        self.index = index
-        super().__init__(f"variable {index}: integer bound {value!r} is not integral")
 
-
-class NonNumericBoundError(MvrsmError, TypeError):
+class NonNumericBoundError(VariableError, TypeError):
     """A bound is not a real number; booleans do not count as numbers."""
 
-    def __init__(self, index: int, value):
-        self.index = index
-        super().__init__(f"variable {index}: bound {value!r} is not a real number")
+
+class InvalidSettingError(MvrsmError, ValueError):
+    """A setting is of the wrong type or out of range. ``field`` names it as the
+    object it configures does, so a caller can report ``reason`` under its own name."""
+
+    def __init__(self, field: str, reason: str):
+        self.field = field
+        self.reason = reason
+        super().__init__(f"{field} {reason}")
 
 
 class NoIntegerVariablesError(MvrsmError, ValueError):

@@ -7,13 +7,13 @@ custom space is handled by the declaration-order mapping in SearchSpace.
 
 from __future__ import annotations
 
-import math
+import sys
 from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionTooSmallError, UnknownBenchmarkError
-from .space import MixedPoint, SearchSpace, VariableSpec
+from .errors import DimensionTooSmallError, InvalidSettingError, UnknownBenchmarkError
+from .space import MixedPoint, SearchSpace, VariableSpec, _is_real
 
 __all__ = [
     "ackley",
@@ -64,8 +64,11 @@ class NoisyObjective:
         rng: RandomStream | None = None,
         noise_high: float = DEFAULT_NOISE_HIGH,
     ):
-        if not 0.0 <= noise_high < math.inf:  # NaN fails both comparisons
-            raise ValueError(f"noise_high must be finite and >= 0, got {noise_high!r}")
+        # an int is compared with a float exactly, so one beyond the float range fails
+        if not (_is_real(noise_high) and 0 <= noise_high <= sys.float_info.max):
+            raise InvalidSettingError(
+                "noise_high", f"must be a finite number >= 0, got {noise_high!r}"
+            )
         self._base = base
         self._rng = rng if rng is not None else np.random.default_rng()
         self.noise_high = float(noise_high)
@@ -104,6 +107,11 @@ def make_objective(
     noise_high: float,
 ) -> NoisyObjective:
     """Noise-wrapped ``scale * OBJECTIVES[name]`` of the coordinates in declaration order."""
+    if name not in OBJECTIVES:
+        known = sorted(OBJECTIVES)
+        raise InvalidSettingError("name", f"{name!r} is an unknown objective; available: {known}")
+    if not (_is_real(scale) and 0 < scale <= sys.float_info.max):
+        raise InvalidSettingError("scale", f"must be a finite, positive number, got {scale!r}")
     raw = OBJECTIVES[name]
     return NoisyObjective(
         lambda p: scale * raw(space.declared_values(p)), rng=rng, noise_high=noise_high

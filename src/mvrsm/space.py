@@ -9,8 +9,8 @@ values appearing inside the inner minimizer are representable.
 
 from __future__ import annotations
 
-import math
 import numbers
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Literal
@@ -36,6 +36,11 @@ def round_half_away(x: np.ndarray) -> np.ndarray:
     """Round to the nearest integer, ties away from zero (1.5 -> 2, -1.5 -> -2)."""
     x = np.asarray(x, dtype=float)
     return np.copysign(np.floor(np.abs(x) + 0.5), x)
+
+
+def _is_real(value) -> bool:
+    """A real number; bools (JSON's true/false) and numpy's bool_ do not count."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,27 +81,24 @@ class SearchSpace:
         n_integer = 0
         for i, v in enumerate(self.variables):
             if v.kind not in ("continuous", "integer"):
-                raise UnknownKindError(i, v.kind)
-            for bound in (v.lower, v.upper):
-                # bool is an int subclass; numpy's bool_ is not a numbers.Real
-                if not isinstance(bound, numbers.Real) or isinstance(bound, bool):
-                    raise NonNumericBoundError(i, bound)
+                raise UnknownKindError(i, f"unknown kind {v.kind!r}")
             for name, bound in (("lower", v.lower), ("upper", v.upper)):
-                try:
-                    finite = math.isfinite(bound)
-                except OverflowError:  # an int beyond the float range
-                    finite, bound = False, f"(an int of {len(str(abs(bound)))} digits)"
-                if not finite:
+                if not _is_real(bound):
+                    raise NonNumericBoundError(i, f"bounds must be finite numbers, not {bound!r}")
+                # an int is compared with a float exactly, so one beyond the float range fails
+                if not -sys.float_info.max <= bound <= sys.float_info.max:
+                    if isinstance(bound, numbers.Integral):
+                        bound = f"(an int of {len(str(abs(bound)))} digits)"
                     raise InvertedBoundsError(
-                        i, v.lower, v.upper, f"{name} bound {bound} is not finite"
+                        i, f"bounds must be finite numbers; {name} bound {bound} is not finite"
                     )
             if v.lower > v.upper:
-                raise InvertedBoundsError(i, v.lower, v.upper)
+                raise InvertedBoundsError(i, f"lower {v.lower!r} > upper {v.upper!r}")
             if v.kind == "integer":
                 n_integer += 1
                 for bound in (v.lower, v.upper):
                     if float(bound) != int(bound):
-                        raise NonIntegerBoundError(i, bound)
+                        raise NonIntegerBoundError(i, f"integer bound {bound!r} is not integral")
         if n_integer == 0:
             raise NoIntegerVariablesError(
                 "the surrogate's integer basis needs at least one integer variable"

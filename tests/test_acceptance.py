@@ -225,20 +225,31 @@ def test_07_halves_random_search_on_ackley53():
 
 
 def test_08_per_iteration_cost_stays_flat():
-    tic = time.perf_counter()
+    # Other work on a shared host mostly adds time, so each step is timed as
+    # the faster of two identical runs; the runs must be bit-equal for that to
+    # compare the same work.
     config = OptimizerConfig(budget=500, init_samples=24, rng_seed=0)
-    space, objective = make_benchmark("rosenbrock10", rng=np.random.default_rng([0, 1]))
-    steps = run_mvrsm(objective, space, config).step_seconds()
+    runs, elapsed = [], []
+    for _ in range(2):
+        tic = time.perf_counter()
+        space, objective = make_benchmark("rosenbrock10", rng=np.random.default_rng([0, 1]))
+        runs.append(run_mvrsm(objective, space, config))
+        elapsed.append(time.perf_counter() - tic)
+    a, b = runs
+    np.testing.assert_array_equal(a.y_values(), b.y_values())
+    np.testing.assert_array_equal(
+        [r.point.flatten() for r in a.records], [r.point.flatten() for r in b.records]
+    )
+    steps = np.minimum(a.step_seconds(), b.step_seconds())
     decile = len(steps) // 10
     first = float(steps[:decile].mean())
     last = float(steps[-decile:].mean())
-    elapsed = time.perf_counter() - tic
     assert last <= 1.5 * first
-    assert elapsed < 300.0
+    assert max(elapsed) < 300.0
     print(
         "acceptance 8 flat step cost: PASS "
         f"(first {first * 1e3:.2f}ms, last {last * 1e3:.2f}ms, "
-        f"ratio {last / first:.2f}, {elapsed:.1f}s)"
+        f"ratio {last / first:.2f}, {elapsed[0]:.1f}s + {elapsed[1]:.1f}s)"
     )
 
 

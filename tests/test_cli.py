@@ -16,8 +16,9 @@ from mvrsm.cli import (
     summarize_directory,
 )
 from mvrsm.driver import OptimizerConfig, RunTrace, read_trace_csv, run_mvrsm
-from mvrsm.errors import ConfigError, LengthMismatchError, ObjectiveFailureError
-from mvrsm.objectives import make_benchmark
+from mvrsm.errors import ConfigError, LengthMismatchError, MvrsmError, ObjectiveFailureError
+from mvrsm.objectives import NoisyObjective, make_benchmark, make_objective
+from mvrsm.space import SearchSpace, VariableSpec
 
 
 def write_config(tmp_path, raw):
@@ -89,6 +90,10 @@ def test_top_level_must_be_object(tmp_path):
         # np.random.default_rng rejects a negative seed
         ({"seeds": [-1]}, "'seeds'"),
         ({"algorithms": ["rs", "rs"]}, "'algorithms' must not repeat"),
+        # a list where a name belongs is not hashable, so it must not reach a lookup
+        ({"algorithms": [["mvrsm"]]}, "unknown algorithm"),
+        ({"benchmark": ["rosenbrock10"]}, "unknown benchmark"),
+        ({"seeds": [[0]]}, "'seeds'"),
     ],
 )
 def test_invalid_configs_rejected(tmp_path, mutation, fragment):
@@ -166,6 +171,7 @@ def test_bad_space_entries(tmp_path, space, fragment):
         ({"name": "rosenbrock", "scale": 0}, "positive number"),
         ({"name": "rosenbrock", "scale": True}, "positive number"),
         ({"name": "rosenbrock", "scale": float("inf")}, "positive number"),
+        ({"name": ["ackley"]}, "string 'name'"),
     ],
 )
 def test_bad_objective_entries(tmp_path, objective, fragment):
@@ -178,6 +184,71 @@ def test_bad_objective_entries(tmp_path, objective, fragment):
     }
     with pytest.raises(ConfigError, match=fragment):
         load_config(write_config(tmp_path, raw))
+
+
+def custom_config(key=None, value=None):
+    """A valid custom-problem config, with ``value`` put under ``key`` if given."""
+    raw = {
+        "space": [{"kind": "integer", "lower": 0, "upper": 4}],
+        "objective": {"name": "ackley"},
+        "budget": 30,
+        "seeds": [0],
+        "output_dir": "out",
+    }
+    if key == "seeds":
+        raw["seeds"] = [value]
+    elif key == "objective.scale":
+        raw["objective"]["scale"] = value
+    elif key == "space[0]":  # its upper bound
+        raw["space"][0]["upper"] = value
+    elif key is not None:
+        raw[key] = value
+    return raw
+
+
+@pytest.mark.parametrize("key", ["noise", "objective.scale"])
+def test_run_reports_a_number_beyond_the_float_range(tmp_path, capsys, key):
+    # float() of a 401-digit JSON integer raises OverflowError, not ConfigError
+    raw = custom_config(key, 10**400)
+    raw["output_dir"] = str(tmp_path / "out")
+    path = write_config(tmp_path, raw)
+    with pytest.raises(ConfigError, match=f"'{key}'"):
+        load_config(path)
+    assert main(["run", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "out").exists()
+
+
+# JSON key -> the library constructor that owns its value
+OWNERS = {
+    "budget": lambda v: OptimizerConfig(budget=v),
+    "init_samples": lambda v: OptimizerConfig(budget=30, init_samples=v),
+    "boxmin_max_iters": lambda v: OptimizerConfig(budget=30, max_iters=v),
+    "seeds": lambda v: OptimizerConfig(budget=30, rng_seed=v),
+    "noise": lambda v: NoisyObjective(lambda p: 0.0, noise_high=v),
+    "objective.scale": lambda v: make_objective(
+        SearchSpace((VariableSpec("integer", 0, 4),)), "ackley", v, None, 0.0
+    ),
+    "space[0]": lambda v: SearchSpace((VariableSpec("integer", 0, v),)),
+}
+CORPUS = [1, 0, -1, 2.5, 30.0, True, False, None, "3", float("nan"), float("inf"), 10**400]
+
+
+@pytest.mark.parametrize("key", sorted(OWNERS))
+def test_config_accepts_exactly_what_the_library_accepts(tmp_path, key):
+    for value in CORPUS:
+        try:
+            OWNERS[key](value)
+            library_accepts = True
+        except (MvrsmError, ValueError):
+            library_accepts = False
+        try:
+            load_config(write_config(tmp_path, custom_config(key, value)))
+            cli_accepts = True
+        except ConfigError as exc:
+            cli_accepts = False
+            assert key in str(exc), (value, str(exc))
+        assert cli_accepts == library_accepts, (key, value)
 
 
 # -- running ----------------------------------------------------------------

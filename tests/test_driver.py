@@ -15,7 +15,7 @@ from mvrsm.driver import (
     run_mvrsm,
     run_random_search,
 )
-from mvrsm.errors import ObjectiveFailureError, ProtocolViolationError
+from mvrsm.errors import InvalidSettingError, ObjectiveFailureError, ProtocolViolationError
 from mvrsm.space import MixedPoint, SearchSpace, VariableSpec
 
 
@@ -42,6 +42,37 @@ def test_config_validation():
         OptimizerConfig(budget=10, init_samples=11)
     with pytest.raises(ValueError, match="rng_seed"):
         OptimizerConfig(budget=30, rng_seed=-1)
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        {"max_iters": 2.5},
+        {"budget": 30.0},
+        {"max_iters": True},
+        {"init_samples": 24.5},
+        {"rng_seed": True},
+        {"budget": "30"},
+        {"rng_seed": None},
+    ],
+    ids=lambda setting: "-".join(f"{k}={v!r}" for k, v in setting.items()),
+)
+def test_config_rejects_a_setting_that_is_not_an_integer(setting):
+    # a float cap used to fail only at the first descent, after the initial
+    # samples were paid for; a bool cap used to run as a cap of 1
+    ((field, _),) = setting.items()
+    with pytest.raises(InvalidSettingError, match=field) as err:
+        OptimizerConfig(**{"budget": 30, **setting})
+    assert isinstance(err.value, ValueError) and err.value.field == field
+
+
+def test_config_accepts_numpy_integers():
+    config = OptimizerConfig(
+        budget=np.int64(26), init_samples=np.int32(24), rng_seed=np.uint8(3), max_iters=np.int64(2)
+    )
+    trace = run_mvrsm(quadratic, small_space(), config)
+    expected = run_mvrsm(quadratic, small_space(), OptimizerConfig(26, 24, 3, 2))
+    np.testing.assert_array_equal(trace.y_values(), expected.y_values())
 
 
 def test_the_cap_reaches_every_descent(monkeypatch):

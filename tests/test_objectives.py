@@ -3,12 +3,18 @@
 import numpy as np
 import pytest
 
-from mvrsm.errors import DimensionTooSmallError, UnknownBenchmarkError
+from mvrsm.errors import (
+    DimensionTooSmallError,
+    InvalidSettingError,
+    MvrsmError,
+    UnknownBenchmarkError,
+)
 from mvrsm.objectives import (
     BENCHMARKS,
     NoisyObjective,
     ackley,
     make_benchmark,
+    make_objective,
     rosenbrock,
 )
 from mvrsm.space import MixedPoint
@@ -90,6 +96,46 @@ def test_non_finite_noise_band_rejected(noise_high):
     # at the first evaluation
     with pytest.raises(ValueError, match="noise_high"):
         NoisyObjective(lambda p: 0.0, noise_high=noise_high)
+
+
+@pytest.mark.parametrize(
+    "noise_high",
+    [
+        pytest.param(True, id="bool"),
+        pytest.param("1e-6", id="string"),
+        # float(10**400) raises OverflowError
+        pytest.param(10**400, id="int-beyond-float"),
+    ],
+)
+def test_noise_band_must_be_a_finite_real_number(noise_high):
+    with pytest.raises(InvalidSettingError, match="noise_high") as err:
+        NoisyObjective(lambda p: 0.0, noise_high=noise_high)
+    assert err.value.field == "noise_high"
+
+
+def test_make_objective_rejects_an_unknown_name():
+    space, _ = make_benchmark("rosenbrock10")
+    with pytest.raises(MvrsmError, match="unknown objective") as err:
+        make_objective(space, "sphere", 1.0, None, 0.0)
+    assert not isinstance(err.value, KeyError) and err.value.field == "name"
+
+
+@pytest.mark.parametrize(
+    "scale",
+    [
+        pytest.param(0, id="zero"),
+        pytest.param(-1, id="negative"),
+        pytest.param(float("nan"), id="nan"),
+        pytest.param(float("inf"), id="inf"),
+        pytest.param(True, id="bool"),
+        pytest.param(10**400, id="int-beyond-float"),
+    ],
+)
+def test_make_objective_scale_must_be_a_positive_finite_real_number(scale):
+    space, _ = make_benchmark("rosenbrock10")
+    with pytest.raises(InvalidSettingError, match="scale") as err:
+        make_objective(space, "rosenbrock", scale, None, 0.0)
+    assert err.value.field == "scale"
 
 
 def test_noise_stream_is_reproducible():
