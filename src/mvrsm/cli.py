@@ -35,13 +35,12 @@ from .driver import (
 from .errors import (
     ConfigError,
     InvalidSettingError,
-    LengthMismatchError,
     MalformedTraceError,
     MvrsmError,
     ObjectiveFailureError,
     VariableError,
 )
-from .objectives import BENCHMARKS, DEFAULT_NOISE_HIGH, make_benchmark, make_objective
+from .objectives import DEFAULT_NOISE_HIGH, make_benchmark, make_objective
 from .space import SearchSpace, VariableSpec
 
 __all__ = ["ExperimentConfig", "load_config", "run_experiment", "summarize_directory", "main"]
@@ -93,6 +92,8 @@ def load_config(path) -> ExperimentConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # e.g. an integer beyond int's digit limit
+        raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     return _validate_config(raw, str(path))
@@ -104,13 +105,15 @@ def _fail(where: str, message: str):
 
 # the JSON key of each library setting that the config spells differently
 _JSON_KEYS = {"max_iters": "boxmin_max_iters", "rng_seed": "seeds", "noise_high": "noise"}
-_JSON_KEYS.update(name="objective.name", scale="objective.scale")
+_JSON_KEYS.update(name="objective.name", scale="objective.scale", variables="space")
 
 
 def _build(where: str, make, *args, **kwargs):
     """Build a library object; a value it rejects is reported under its JSON key."""
     try:
         return make(*args, **kwargs)
+    except VariableError as exc:
+        _fail(where, f"invalid space[{exc.index}]: {exc.reason}")
     except InvalidSettingError as exc:
         _fail(where, f"{_JSON_KEYS.get(exc.field, exc.field)!r} {exc.reason}")
 
@@ -150,8 +153,6 @@ def _validate_config(raw: dict, where: str) -> ExperimentConfig:
     benchmark = raw.get("benchmark")
     space = objective = None
     if benchmark is not None:
-        if not isinstance(benchmark, str) or benchmark not in BENCHMARKS:
-            _fail(where, f"unknown benchmark {benchmark!r}; available: {sorted(BENCHMARKS)}")
         if "space" in raw or "objective" in raw:
             _fail(where, "give either 'benchmark' or 'space'+'objective', not both")
         _, noisy = _build(where, make_benchmark, benchmark, noise_high=noise)
@@ -164,12 +165,7 @@ def _validate_config(raw: dict, where: str) -> ExperimentConfig:
         for i, entry in enumerate(entries):
             if not isinstance(entry, dict) or set(entry) != {"kind", "lower", "upper"}:
                 _fail(where, f"space[{i}]: need exactly the keys kind, lower, upper")
-        try:
-            space = SearchSpace(tuple(VariableSpec(**entry) for entry in entries))
-        except VariableError as exc:
-            _fail(where, f"invalid space[{exc.index}]: {exc.reason}")
-        except MvrsmError as exc:
-            _fail(where, f"invalid space: {exc}")
+        space = _build(where, SearchSpace, tuple(VariableSpec(**entry) for entry in entries))
         entry = raw["objective"]
         if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
             _fail(where, "'objective' must be an object with a string 'name'")
@@ -292,14 +288,14 @@ def _summary_rows(trace_paths) -> list[dict]:
     for path in trace_paths:
         by_algo.setdefault(Path(path).name.split("_seed")[0], []).append(read_trace_csv(path))
     if not by_algo:
-        raise LengthMismatchError("no trace files to summarize")
+        raise MalformedTraceError("no trace files to summarize")
 
     rows: list[dict] = []
     for algo in sorted(by_algo):
         traces = by_algo[algo]
         lengths = {len(t["best_y"]) for t in traces}
         if len(lengths) != 1:
-            raise LengthMismatchError(f"{algo}: unequal trace lengths {sorted(lengths)}")
+            raise MalformedTraceError(f"{algo}: unequal trace lengths {sorted(lengths)}")
         best = np.stack([t["best_y"] for t in traces])  # runs x iters
         steps = np.stack([t["step_seconds"] for t in traces])
         n = best.shape[0]
@@ -360,7 +356,7 @@ def main(argv=None) -> int:
             return 2 if result["failures"] else 0
         summarize_directory(args.directory)
         return 0
-    except (ConfigError, LengthMismatchError, MalformedTraceError) as exc:
+    except MvrsmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -107,7 +107,7 @@ class RunTrace:
         """Columns: iter, y, best_y, step_seconds, then the flattened
         coordinates (continuous block xc*, then integer block xd*)."""
         if not self.records:
-            raise ValueError("refusing to write an empty trace")
+            raise MalformedTraceError("refusing to write an empty trace")
         first = self.records[0].point
         header = (
             list(_SCALAR_COLUMNS)

@@ -1,27 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: one class per kind of mistake."""
 
 from __future__ import annotations
 
 __all__ = [
     "MvrsmError",
-    "EmptySpaceError",
     "VariableError",
-    "UnknownKindError",
-    "InvertedBoundsError",
-    "NonIntegerBoundError",
-    "NonNumericBoundError",
     "InvalidSettingError",
-    "NoIntegerVariablesError",
     "DimensionMismatchError",
-    "NonPositiveLambdaError",
     "NonFiniteError",
-    "NonIntegralInputError",
-    "DimensionTooSmallError",
-    "UnknownBenchmarkError",
     "ProtocolViolationError",
     "ObjectiveFailureError",
     "ConfigError",
-    "LengthMismatchError",
     "MalformedTraceError",
 ]
 
@@ -30,34 +19,15 @@ class MvrsmError(Exception):
     """Base class for every error raised by this package."""
 
 
-class EmptySpaceError(MvrsmError, ValueError):
-    """A search space must declare at least one variable."""
-
-
 class VariableError(MvrsmError, ValueError):
-    """A malformed search-space variable: ``index`` is its declaration position."""
+    """A malformed search-space variable: an unknown kind, a bound that is not a
+    finite real number, inverted bounds, or a non-integral integer bound.
+    ``index`` is the variable's declaration position."""
 
     def __init__(self, index: int, reason: str):
         self.index = index
         self.reason = reason
         super().__init__(f"variable {index}: {reason}")
-
-
-class UnknownKindError(VariableError):
-    """A variable's kind is neither "continuous" nor "integer"."""
-
-
-class InvertedBoundsError(VariableError):
-    """A variable's bounds are not a finite interval: lower > upper, or a
-    bound is not finite (infinite, NaN, or an int beyond the float range)."""
-
-
-class NonIntegerBoundError(VariableError):
-    """An integer variable was declared with a non-integral bound."""
-
-
-class NonNumericBoundError(VariableError, TypeError):
-    """A bound is not a real number; booleans do not count as numbers."""
 
 
 class InvalidSettingError(MvrsmError, ValueError):
@@ -70,32 +40,12 @@ class InvalidSettingError(MvrsmError, ValueError):
         super().__init__(f"{field} {reason}")
 
 
-class NoIntegerVariablesError(MvrsmError, ValueError):
-    """The method requires at least one integer variable."""
-
-
 class DimensionMismatchError(MvrsmError, ValueError):
-    """A point or vector does not match the expected dimension."""
-
-
-class NonPositiveLambdaError(MvrsmError, ValueError):
-    """The recursive least squares regulariser must be strictly positive."""
+    """A point or vector does not have the length its consumer needs."""
 
 
 class NonFiniteError(MvrsmError, ValueError):
     """A NaN or infinity reached a numerical routine."""
-
-
-class NonIntegralInputError(MvrsmError, ValueError):
-    """An integer-block vector holds non-integral values."""
-
-
-class DimensionTooSmallError(MvrsmError, ValueError):
-    """The objective needs more coordinates than were supplied."""
-
-
-class UnknownBenchmarkError(MvrsmError, KeyError):
-    """No benchmark is registered under this name."""
 
 
 class ProtocolViolationError(MvrsmError, RuntimeError):
@@ -114,9 +64,7 @@ class ConfigError(MvrsmError, ValueError):
     """An experiment config file is malformed or inconsistent."""
 
 
-class LengthMismatchError(MvrsmError, ValueError):
-    """Traces passed to the summarizer are empty or have unequal lengths."""
-
-
 class MalformedTraceError(MvrsmError, ValueError):
-    """A trace CSV is empty, lacks a column, has ragged rows or a non-numeric cell."""
+    """A trace cannot be written or summarized: a trace CSV is empty, lacks a column,
+    has ragged rows or a non-numeric cell; there are no traces to summarize or their
+    lengths differ; or an empty trace was asked to be written."""

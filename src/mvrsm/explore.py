@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonIntegralInputError
+from .errors import InvalidSettingError
 from .space import SearchSpace
 
 __all__ = ["perturb_integer", "perturb_continuous"]
@@ -27,7 +27,7 @@ def perturb_integer(space: SearchSpace, xd: np.ndarray, rng: RandomStream) -> np
     """Step each integer coordinate 0+ units, staying in bounds and integral."""
     xd = np.asarray(xd, dtype=float)
     if np.any(xd != np.floor(xd)):
-        raise NonIntegralInputError(f"integer block is not integral: {xd!r}")
+        raise InvalidSettingError("xd", f"integer block is not integral: {xd!r}")
     out = xd.copy()
     p = 1.0 / space.dim
     lower, upper = space.integer_lower, space.integer_upper

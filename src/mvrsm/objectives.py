@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionTooSmallError, InvalidSettingError, UnknownBenchmarkError
+from .errors import DimensionMismatchError, InvalidSettingError
 from .space import MixedPoint, SearchSpace, VariableSpec, _is_real
 
 __all__ = [
@@ -35,7 +35,7 @@ def ackley(x, a: float = 20.0, b: float = 0.2, c: float = 2.0 * np.pi) -> float:
     x = np.asarray(x, dtype=float)
     d = x.size
     if d == 0:
-        raise DimensionTooSmallError("ackley needs at least one coordinate")
+        raise DimensionMismatchError("ackley needs at least one coordinate")
     return float(
         -a * np.exp(-b * np.sqrt(np.mean(x * x)))
         - np.exp(np.mean(np.cos(c * x)))
@@ -48,7 +48,7 @@ def rosenbrock(x, scale: float = 1.0) -> float:
     """Scaled Rosenbrock function; 0 at the all-ones point."""
     x = np.asarray(x, dtype=float)
     if x.size < 2:
-        raise DimensionTooSmallError(f"rosenbrock needs >= 2 coordinates, got {x.size}")
+        raise DimensionMismatchError(f"rosenbrock needs >= 2 coordinates, got {x.size}")
     return float(scale * np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (x[:-1] - 1.0) ** 2))
 
 
@@ -124,11 +124,11 @@ def make_benchmark(
     noise_high: float = DEFAULT_NOISE_HIGH,
 ) -> tuple[SearchSpace, NoisyObjective]:
     """Named benchmark: its search space and noise-wrapped objective."""
-    try:
-        space_args, objective, scale = BENCHMARKS[name]
-    except KeyError:
-        raise UnknownBenchmarkError(
-            f"unknown benchmark {name!r}; available: {sorted(BENCHMARKS)}"
-        ) from None
+    # a name that is not a string may not be hashable, so it never reaches the lookup
+    if not isinstance(name, str) or name not in BENCHMARKS:
+        raise InvalidSettingError(
+            "benchmark", f"unknown benchmark {name!r}; available: {sorted(BENCHMARKS)}"
+        )
+    space_args, objective, scale = BENCHMARKS[name]
     space = _benchmark_space(*space_args)
     return space, make_objective(space, objective, scale, rng, noise_high)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonFiniteError, NonPositiveLambdaError
+from .errors import DimensionMismatchError, InvalidSettingError, NonFiniteError
 
 __all__ = ["RecursiveLeastSquares"]
 
@@ -39,7 +39,7 @@ class RecursiveLeastSquares:
 
     def __init__(self, c0, lam: float = 1e-8):
         if not lam > 0.0:
-            raise NonPositiveLambdaError(f"regulariser must be > 0, got {lam!r}")
+            raise InvalidSettingError("lam", f"regulariser must be > 0, got {lam!r}")
         self.coeffs = np.asarray(c0, dtype=float)
         if self.coeffs.ndim != 1:
             raise DimensionMismatchError("prior coefficients must be a vector")

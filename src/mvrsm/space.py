@@ -17,15 +17,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    EmptySpaceError,
-    InvertedBoundsError,
-    NonIntegerBoundError,
-    NonNumericBoundError,
-    NoIntegerVariablesError,
-    UnknownKindError,
-)
+from .errors import DimensionMismatchError, InvalidSettingError, VariableError
 
 __all__ = ["VariableSpec", "MixedPoint", "SearchSpace", "round_half_away"]
 
@@ -77,31 +69,31 @@ class SearchSpace:
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
         if len(self.variables) == 0:
-            raise EmptySpaceError("a search space needs at least one variable")
+            raise InvalidSettingError("variables", "a search space needs at least one variable")
         n_integer = 0
         for i, v in enumerate(self.variables):
             if v.kind not in ("continuous", "integer"):
-                raise UnknownKindError(i, f"unknown kind {v.kind!r}")
+                raise VariableError(i, f"unknown kind {v.kind!r}")
             for name, bound in (("lower", v.lower), ("upper", v.upper)):
                 if not _is_real(bound):
-                    raise NonNumericBoundError(i, f"bounds must be finite numbers, not {bound!r}")
+                    raise VariableError(i, f"bounds must be finite numbers, not {bound!r}")
                 # an int is compared with a float exactly, so one beyond the float range fails
                 if not -sys.float_info.max <= bound <= sys.float_info.max:
                     if isinstance(bound, numbers.Integral):
                         bound = f"(an int of {len(str(abs(bound)))} digits)"
-                    raise InvertedBoundsError(
+                    raise VariableError(
                         i, f"bounds must be finite numbers; {name} bound {bound} is not finite"
                     )
             if v.lower > v.upper:
-                raise InvertedBoundsError(i, f"lower {v.lower!r} > upper {v.upper!r}")
+                raise VariableError(i, f"lower {v.lower!r} > upper {v.upper!r}")
             if v.kind == "integer":
                 n_integer += 1
                 for bound in (v.lower, v.upper):
                     if float(bound) != int(bound):
-                        raise NonIntegerBoundError(i, f"integer bound {bound!r} is not integral")
+                        raise VariableError(i, f"integer bound {bound!r} is not integral")
         if n_integer == 0:
-            raise NoIntegerVariablesError(
-                "the surrogate's integer basis needs at least one integer variable"
+            raise InvalidSettingError(
+                "variables", "the surrogate's integer basis needs at least one integer variable"
             )
 
     # -- derived layout ---------------------------------------------------

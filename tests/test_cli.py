@@ -16,7 +16,7 @@ from mvrsm.cli import (
     summarize_directory,
 )
 from mvrsm.driver import OptimizerConfig, RunTrace, read_trace_csv, run_mvrsm
-from mvrsm.errors import ConfigError, LengthMismatchError, MvrsmError, ObjectiveFailureError
+from mvrsm.errors import ConfigError, MalformedTraceError, MvrsmError, ObjectiveFailureError
 from mvrsm.objectives import NoisyObjective, make_benchmark, make_objective
 from mvrsm.space import SearchSpace, VariableSpec
 
@@ -51,6 +51,16 @@ def test_malformed_json_reports_position(tmp_path):
 def test_missing_file_reports_path(tmp_path):
     with pytest.raises(ConfigError, match="cannot read config"):
         load_config(tmp_path / "nope.json")
+
+
+def test_run_reports_an_integer_beyond_the_digit_limit(tmp_path, capsys):
+    # json.loads raises a plain ValueError, not a JSONDecodeError, for this
+    path = tmp_path / "config.json"
+    path.write_text('{"budget": 1' + "0" * 5000 + "}")
+    with pytest.raises(ConfigError, match=r"config\.json"):
+        load_config(path)
+    assert main(["run", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_top_level_must_be_object(tmp_path):
@@ -159,6 +169,18 @@ def test_bad_space_entries(tmp_path, space, fragment):
         "output_dir": "out",
     }
     with pytest.raises(ConfigError, match=fragment):
+        load_config(write_config(tmp_path, raw))
+
+
+def test_all_continuous_space_is_reported_under_space(tmp_path):
+    raw = {
+        "space": [{"kind": "continuous", "lower": 0.0, "upper": 1.0}],
+        "objective": {"name": "ackley"},
+        "budget": 30,
+        "seeds": [0],
+        "output_dir": "out",
+    }
+    with pytest.raises(ConfigError, match="'space' .*integer variable"):
         load_config(write_config(tmp_path, raw))
 
 
@@ -443,13 +465,13 @@ def test_single_run_has_zero_spread(tmp_path):
 
 def test_unequal_trace_lengths_rejected(tmp_path):
     seed_traces(tmp_path / "runs", "rs", [[1.0, 1.0], [2.0]])
-    with pytest.raises(LengthMismatchError, match="unequal trace lengths"):
+    with pytest.raises(MalformedTraceError, match="unequal trace lengths"):
         summarize_directory(tmp_path / "runs")
 
 
 def test_empty_directory_rejected(tmp_path):
     (tmp_path / "runs").mkdir()
-    with pytest.raises(LengthMismatchError, match="no trace files"):
+    with pytest.raises(MalformedTraceError, match="no trace files"):
         summarize_directory(tmp_path / "runs")
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvrsm.errors import NonIntegralInputError
+from mvrsm.errors import InvalidSettingError
 from mvrsm.explore import MAX_STEPS, perturb_continuous, perturb_integer
 from mvrsm.space import SearchSpace, VariableSpec
 
@@ -98,7 +98,7 @@ def test_zero_draw_is_capped():
 
 def test_non_integral_input_rejected():
     space = ints((0, 5))
-    with pytest.raises(NonIntegralInputError):
+    with pytest.raises(InvalidSettingError):
         perturb_integer(space, np.array([1.5]), np.random.default_rng(0))
 
 

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from mvrsm.errors import (
-    DimensionTooSmallError,
-    InvalidSettingError,
-    MvrsmError,
-    UnknownBenchmarkError,
-)
+from mvrsm.errors import DimensionMismatchError, InvalidSettingError, MvrsmError
 from mvrsm.objectives import (
     BENCHMARKS,
     NoisyObjective,
@@ -40,7 +35,7 @@ def test_ackley_nonnegative():
 
 
 def test_ackley_rejects_empty_input():
-    with pytest.raises(DimensionTooSmallError):
+    with pytest.raises(DimensionMismatchError):
         ackley(np.array([]))
 
 
@@ -62,7 +57,7 @@ def test_rosenbrock_scaled_value_at_origin():
 
 
 def test_rosenbrock_needs_two_coordinates():
-    with pytest.raises(DimensionTooSmallError):
+    with pytest.raises(DimensionMismatchError):
         rosenbrock(np.array([1.0]))
 
 
@@ -148,7 +143,7 @@ def test_noise_stream_is_reproducible():
 
 def test_benchmark_catalogue():
     assert set(BENCHMARKS) == {"ackley53", "rosenbrock10", "rosenbrock238"}
-    with pytest.raises(UnknownBenchmarkError):
+    with pytest.raises(InvalidSettingError):
         make_benchmark("sphere")
 
 

@@ -20,8 +20,8 @@ import pytest
 from mvrsm.driver import MvrsmOptimizer, OptimizerConfig
 from mvrsm.errors import (
     DimensionMismatchError,
+    InvalidSettingError,
     NonFiniteError,
-    NonPositiveLambdaError,
 )
 from mvrsm.objectives import make_benchmark
 from mvrsm.rls import _BLOCK_ROWS, RecursiveLeastSquares
@@ -61,9 +61,9 @@ def test_init_state():
 
 
 def test_non_positive_lambda_rejected():
-    with pytest.raises(NonPositiveLambdaError):
+    with pytest.raises(InvalidSettingError):
         RecursiveLeastSquares(np.zeros(2), lam=0.0)
-    with pytest.raises(NonPositiveLambdaError):
+    with pytest.raises(InvalidSettingError):
         RecursiveLeastSquares(np.zeros(2), lam=-1.0)
 
 
