@@ -40,7 +40,7 @@ from .errors import (
     ObjectiveFailureError,
     VariableError,
 )
-from .objectives import DEFAULT_NOISE_HIGH, make_benchmark, make_objective
+from .objectives import DEFAULT_NOISE_HIGH, benchmark_problem, make_objective
 from .space import SearchSpace, VariableSpec
 
 __all__ = ["ExperimentConfig", "load_config", "run_experiment", "summarize_directory", "main"]
@@ -62,23 +62,22 @@ SUMMARY_COLUMNS = [
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description.
+    """Validated experiment: the runs' settings, one per seed in config order,
+    and the problem, which every run evaluates as
+    ``make_objective(space, objective, scale, <run's noise stream>, noise_high)``.
 
-    Either ``benchmark`` names a registered problem, or ``space`` (list of
-    {kind, lower, upper} records) plus ``objective`` ({name, scale?}) define
-    a custom one.
+    A config names a registered benchmark, or gives a ``space`` (list of
+    {kind, lower, upper} records) plus an ``objective`` ({name, scale?});
+    both forms load to the same fields.
     """
 
     algorithms: tuple[str, ...]
-    budget: int
-    seeds: tuple[int, ...]
+    runs: tuple[OptimizerConfig, ...]
+    space: SearchSpace
+    objective: str  # a name in OBJECTIVES
+    scale: float
+    noise_high: float
     output_dir: str
-    benchmark: str | None = None
-    space: SearchSpace | None = None
-    objective: dict | None = None
-    init_samples: int = 24
-    noise_high: float = DEFAULT_NOISE_HIGH
-    boxmin_max_iters: int = MAX_ITERS
 
 
 def load_config(path) -> ExperimentConfig:
@@ -92,7 +91,7 @@ def load_config(path) -> ExperimentConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    except ValueError as exc:  # e.g. an integer beyond int's digit limit
+    except (ValueError, RecursionError) as exc:  # too many digits, or nested too deep
         raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
@@ -151,11 +150,10 @@ def _validate_config(raw: dict, where: str) -> ExperimentConfig:
 
     noise = raw.get("noise", DEFAULT_NOISE_HIGH)
     benchmark = raw.get("benchmark")
-    space = objective = None
     if benchmark is not None:
         if "space" in raw or "objective" in raw:
             _fail(where, "give either 'benchmark' or 'space'+'objective', not both")
-        _, noisy = _build(where, make_benchmark, benchmark, noise_high=noise)
+        space, name, scale = _build(where, benchmark_problem, benchmark)
     else:
         if "space" not in raw or "objective" not in raw:
             _fail(where, "need 'benchmark', or 'space' together with 'objective'")
@@ -172,9 +170,8 @@ def _validate_config(raw: dict, where: str) -> ExperimentConfig:
         extra = set(entry) - {"name", "scale"}
         if extra:
             _fail(where, f"'objective' has unknown keys {sorted(extra)}")
-        scale = entry.get("scale", 1.0)
-        noisy = _build(where, make_objective, space, entry["name"], scale, None, noise)
-        objective = {"name": entry["name"], "scale": float(scale)}
+        name, scale = entry["name"], entry.get("scale", 1.0)
+    noisy = _build(where, make_objective, space, name, scale, None, noise)
 
     # each seed is checked, by the run config it seeds, before seeds are hashed
     seeds = raw.get("seeds")
@@ -182,22 +179,20 @@ def _validate_config(raw: dict, where: str) -> ExperimentConfig:
         _fail(where, "'seeds' must be a non-empty list of integers >= 0")
     budget, init_samples = raw.get("budget"), raw.get("init_samples", 24)
     max_iters = raw.get("boxmin_max_iters", MAX_ITERS)
-    for seed in seeds:
-        _build(where, OptimizerConfig, budget, init_samples, seed, max_iters)
+    runs = tuple(
+        _build(where, OptimizerConfig, budget, init_samples, seed, max_iters) for seed in seeds
+    )
     if len(set(seeds)) != len(seeds):
         _fail(where, "'seeds' must not repeat")
 
     return ExperimentConfig(
         algorithms=tuple(algorithms),
-        budget=budget,
-        seeds=tuple(seeds),
-        output_dir=output_dir,
-        benchmark=benchmark,
+        runs=runs,
         space=space,
-        objective=objective,
-        init_samples=init_samples,
+        objective=name,
+        scale=float(scale),
         noise_high=noisy.noise_high,
-        boxmin_max_iters=max_iters,
+        output_dir=output_dir,
     )
 
 
@@ -233,32 +228,17 @@ def run_experiment(config: ExperimentConfig, out=None) -> dict:
     trace_paths: list[Path] = []
     failures: list[dict] = []
     for algo in config.algorithms:
-        for seed in config.seeds:
+        for run in config.runs:
+            seed = run.rng_seed
             # the noise stream is seeded from the run seed, so reruns of the
             # same config are reproducible
             noise_rng = np.random.default_rng([seed, NOISE_STREAM_TAG])
-            if config.benchmark is not None:
-                space, objective = make_benchmark(
-                    config.benchmark, rng=noise_rng, noise_high=config.noise_high
-                )
-            else:
-                space = config.space
-                objective = make_objective(
-                    space,
-                    config.objective["name"],
-                    config.objective["scale"],
-                    rng=noise_rng,
-                    noise_high=config.noise_high,
-                )
-            run_config = OptimizerConfig(
-                budget=config.budget,
-                init_samples=config.init_samples,
-                rng_seed=seed,
-                max_iters=config.boxmin_max_iters,
+            objective = make_objective(
+                config.space, config.objective, config.scale, noise_rng, config.noise_high
             )
             path = out_dir / f"{algo}_seed{seed}.csv"
             try:
-                trace = ALGORITHMS[algo](objective, space, run_config)
+                trace = ALGORITHMS[algo](objective, config.space, run)
             except ObjectiveFailureError as exc:
                 # keep the evaluations made before the failure; the name ends
                 # in .failed so the *_seed*.csv summarize glob skips it

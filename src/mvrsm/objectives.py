@@ -20,6 +20,7 @@ __all__ = [
     "rosenbrock",
     "NoisyObjective",
     "make_objective",
+    "benchmark_problem",
     "make_benchmark",
     "OBJECTIVES",
     "BENCHMARKS",
@@ -82,16 +83,11 @@ class NoisyObjective:
         return value
 
 
-def _benchmark_space(n_integer, int_lo, int_up, n_continuous, cont_lo, cont_up):
-    return SearchSpace(
-        tuple(VariableSpec("integer", int_lo, int_up) for _ in range(n_integer))
-        + tuple(VariableSpec("continuous", cont_lo, cont_up) for _ in range(n_continuous))
-    )
-
-
 OBJECTIVES = {"ackley": ackley, "rosenbrock": rosenbrock}
+# the fewest coordinates each objective is defined on, where that is more than one
+_MIN_DIM = {"rosenbrock": 2}
 
-# name -> (_benchmark_space arguments, objective name, scale)
+# name -> ((n_integer, int_lo, int_up, n_continuous, cont_lo, cont_up), objective name, scale)
 BENCHMARKS = {
     "ackley53": ((50, 0, 1, 3, -1.0, 1.0), "ackley", 1.0),
     "rosenbrock10": ((3, -2, 2, 7, -2.0, 2.0), "rosenbrock", 1.0 / 300.0),
@@ -112,10 +108,30 @@ def make_objective(
         raise InvalidSettingError("name", f"{name!r} is an unknown objective; available: {known}")
     if not (_is_real(scale) and 0 < scale <= sys.float_info.max):
         raise InvalidSettingError("scale", f"must be a finite, positive number, got {scale!r}")
+    if space.dim < _MIN_DIM.get(name, 1):
+        raise InvalidSettingError(
+            "name", f"{name} needs >= {_MIN_DIM[name]} variables, the space has {space.dim}"
+        )
     raw = OBJECTIVES[name]
     return NoisyObjective(
         lambda p: scale * raw(space.declared_values(p)), rng=rng, noise_high=noise_high
     )
+
+
+def benchmark_problem(name: str) -> tuple[SearchSpace, str, float]:
+    """Named benchmark: a new search space, its objective's name and its scale."""
+    # a name that is not a string may not be hashable, so it never reaches the lookup
+    if not isinstance(name, str) or name not in BENCHMARKS:
+        raise InvalidSettingError(
+            "benchmark", f"unknown benchmark {name!r}; available: {sorted(BENCHMARKS)}"
+        )
+    layout, objective, scale = BENCHMARKS[name]
+    n_integer, int_lo, int_up, n_continuous, cont_lo, cont_up = layout
+    space = SearchSpace(
+        tuple(VariableSpec("integer", int_lo, int_up) for _ in range(n_integer))
+        + tuple(VariableSpec("continuous", cont_lo, cont_up) for _ in range(n_continuous))
+    )
+    return space, objective, scale
 
 
 def make_benchmark(
@@ -124,11 +140,5 @@ def make_benchmark(
     noise_high: float = DEFAULT_NOISE_HIGH,
 ) -> tuple[SearchSpace, NoisyObjective]:
     """Named benchmark: its search space and noise-wrapped objective."""
-    # a name that is not a string may not be hashable, so it never reaches the lookup
-    if not isinstance(name, str) or name not in BENCHMARKS:
-        raise InvalidSettingError(
-            "benchmark", f"unknown benchmark {name!r}; available: {sorted(BENCHMARKS)}"
-        )
-    space_args, objective, scale = BENCHMARKS[name]
-    space = _benchmark_space(*space_args)
+    space, objective, scale = benchmark_problem(name)
     return space, make_objective(space, objective, scale, rng, noise_high)

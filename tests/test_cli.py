@@ -1,6 +1,8 @@
 """Tests for the config loader, experiment harness, and command line."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,9 +17,9 @@ from mvrsm.cli import (
     run_experiment,
     summarize_directory,
 )
-from mvrsm.driver import OptimizerConfig, RunTrace, read_trace_csv, run_mvrsm
+from mvrsm.driver import OptimizerConfig, RunTrace, read_trace_csv, run_mvrsm, run_random_search
 from mvrsm.errors import ConfigError, MalformedTraceError, MvrsmError, ObjectiveFailureError
-from mvrsm.objectives import NoisyObjective, make_benchmark, make_objective
+from mvrsm.objectives import BENCHMARKS, NoisyObjective, make_benchmark, make_objective
 from mvrsm.space import SearchSpace, VariableSpec
 
 
@@ -57,6 +59,16 @@ def test_run_reports_an_integer_beyond_the_digit_limit(tmp_path, capsys):
     # json.loads raises a plain ValueError, not a JSONDecodeError, for this
     path = tmp_path / "config.json"
     path.write_text('{"budget": 1' + "0" * 5000 + "}")
+    with pytest.raises(ConfigError, match=r"config\.json"):
+        load_config(path)
+    assert main(["run", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_run_reports_json_nested_beyond_the_recursion_limit(tmp_path, capsys):
+    # json.loads raises RecursionError, which is not a ValueError, for this
+    path = tmp_path / "config.json"
+    path.write_text("[" * 100_000)
     with pytest.raises(ConfigError, match=r"config\.json"):
         load_config(path)
     assert main(["run", str(path)]) == 1
@@ -118,12 +130,13 @@ def test_benchmark_config_defaults(tmp_path):
     config = load_config(write_config(tmp_path, base_config(tmp_path)))
     assert isinstance(config, ExperimentConfig)
     assert config.algorithms == ("mvrsm", "rs")
-    assert config.seeds == (0, 1)
-    assert config.init_samples == 24
+    assert config.runs == (OptimizerConfig(26, 24, 0, 20), OptimizerConfig(26, 24, 1, 20))
     assert config.noise_high == 1e-6
-    assert config.boxmin_max_iters == 20
-    assert config.benchmark == "rosenbrock10"
-    assert config.space is None and config.objective is None
+    # the benchmark loads to the same problem fields as a custom config
+    assert config.space.n_integer == 3 and config.space.n_continuous == 7
+    assert np.all(config.space.integer_lower == -2) and np.all(config.space.upper == 2)
+    assert config.objective == "rosenbrock"
+    assert config.scale == 1.0 / 300.0
 
 
 def test_custom_space_and_objective_parse(tmp_path):
@@ -141,9 +154,10 @@ def test_custom_space_and_objective_parse(tmp_path):
         "algorithms": ["rs"],
     }
     config = load_config(write_config(tmp_path, raw))
-    assert config.benchmark is None
+    assert config.algorithms == ("rs",)
+    assert config.runs == (OptimizerConfig(30, 24, 5, 20),)
     assert config.space.n_integer == 1 and config.space.n_continuous == 1
-    assert config.objective == {"name": "rosenbrock", "scale": 0.5}
+    assert config.objective == "rosenbrock" and config.scale == 0.5
     assert config.noise_high == 0.0
 
 
@@ -206,6 +220,34 @@ def test_bad_objective_entries(tmp_path, objective, fragment):
     }
     with pytest.raises(ConfigError, match=fragment):
         load_config(write_config(tmp_path, raw))
+
+
+def test_run_rejects_a_space_too_small_for_the_objective(tmp_path, capsys):
+    raw = {
+        "space": [{"kind": "integer", "lower": 0, "upper": 4}],
+        "objective": {"name": "rosenbrock"},
+        "budget": 30,
+        "seeds": [0],
+        "output_dir": str(tmp_path / "out"),
+    }
+    path = write_config(tmp_path, raw)
+    with pytest.raises(ConfigError, match="'objective.name' rosenbrock needs >= 2"):
+        load_config(path)
+    assert main(["run", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "out").exists()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+@pytest.mark.parametrize(
+    "block", re.findall(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), re.DOTALL)
+)
+def test_readme_configs_load(tmp_path, block):
+    path = tmp_path / "config.json"
+    path.write_text(block)
+    assert isinstance(load_config(path), ExperimentConfig)
 
 
 def custom_config(key=None, value=None):
@@ -328,6 +370,21 @@ def test_boxmin_max_iters_is_the_runs_descent_cap(tmp_path):
     np.testing.assert_array_equal(written["coords"], points)
     # the cap changes this run, so a config that lost it would not match
     assert not np.array_equal(library_run()[0], y)
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARKS))
+def test_every_benchmark_runs_the_same_through_the_cli_as_the_library(tmp_path, name):
+    raw = base_config(
+        tmp_path, benchmark=name, algorithms=["rs"], budget=3, init_samples=1, seeds=[0]
+    )
+    (path,) = run_experiment(load_config(write_config(tmp_path, raw)))["traces"]
+    written = read_trace_csv(path)
+    space, objective = make_benchmark(name, rng=np.random.default_rng([0, cli.NOISE_STREAM_TAG]))
+    trace = run_random_search(objective, space, OptimizerConfig(3, 1, 0))
+    np.testing.assert_array_equal(written["y"], trace.y_values())
+    np.testing.assert_array_equal(
+        written["coords"], np.array([r.point.flatten() for r in trace.records])
+    )
 
 
 @pytest.mark.parametrize("name", ["ackley", "rosenbrock"])

@@ -6,13 +6,15 @@ import pytest
 from mvrsm.errors import DimensionMismatchError, InvalidSettingError, MvrsmError
 from mvrsm.objectives import (
     BENCHMARKS,
+    OBJECTIVES,
     NoisyObjective,
     ackley,
+    benchmark_problem,
     make_benchmark,
     make_objective,
     rosenbrock,
 )
-from mvrsm.space import MixedPoint
+from mvrsm.space import MixedPoint, SearchSpace, VariableSpec
 
 
 def test_ackley_zero_at_origin():
@@ -133,6 +135,14 @@ def test_make_objective_scale_must_be_a_positive_finite_real_number(scale):
     assert err.value.field == "scale"
 
 
+def test_make_objective_rejects_a_space_too_small_for_the_objective():
+    space = SearchSpace((VariableSpec("integer", 0, 4),))
+    with pytest.raises(InvalidSettingError, match="rosenbrock needs >= 2") as err:
+        make_objective(space, "rosenbrock", 1.0, None, 0.0)
+    assert err.value.field == "name"
+    make_objective(space, "ackley", 1.0, None, 0.0)  # ackley is defined on one coordinate
+
+
 def test_noise_stream_is_reproducible():
     a = NoisyObjective(lambda p: 0.0, rng=np.random.default_rng(5))
     b = NoisyObjective(lambda p: 0.0, rng=np.random.default_rng(5))
@@ -145,6 +155,11 @@ def test_benchmark_catalogue():
     assert set(BENCHMARKS) == {"ackley53", "rosenbrock10", "rosenbrock238"}
     with pytest.raises(InvalidSettingError):
         make_benchmark("sphere")
+    for name in BENCHMARKS:
+        space, objective, scale = benchmark_problem(name)
+        assert objective in OBJECTIVES and scale > 0
+        # every call builds a new space, so a caller may patch its instance
+        assert benchmark_problem(name)[0] is not space
 
 
 def test_ackley53_layout_and_minimum():
