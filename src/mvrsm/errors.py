@@ -21,8 +21,8 @@ class MvrsmError(Exception):
 
 class VariableError(MvrsmError, ValueError):
     """A malformed search-space variable: an unknown kind, a bound that is not a
-    finite real number, inverted bounds, or a non-integral integer bound.
-    ``index`` is the variable's declaration position."""
+    finite real number, inverted bounds, or an integer bound that is not integral
+    or is beyond 2**53 in magnitude. ``index`` is the variable's declaration position."""
 
     def __init__(self, index: int, reason: str):
         self.index = index

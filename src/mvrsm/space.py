@@ -89,6 +89,12 @@ class SearchSpace:
             if v.kind == "integer":
                 n_integer += 1
                 for bound in (v.lower, v.upper):
+                    # points hold integers as floats, and beyond 2**53 not
+                    # every integer is a float
+                    if abs(bound) > 2**53:
+                        raise VariableError(
+                            i, f"integer bound {bound!r} is beyond 2**53 in magnitude"
+                        )
                     if float(bound) != int(bound):
                         raise VariableError(i, f"integer bound {bound!r} is not integral")
         if n_integer == 0:

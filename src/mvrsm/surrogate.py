@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, InvalidSettingError
 from .rls import RecursiveLeastSquares
 from .space import SearchSpace
 
@@ -248,15 +248,15 @@ def _integer_block(space: SearchSpace) -> tuple[np.ndarray, np.ndarray, np.ndarr
     lo = space.integer_lower.astype(int)
     up = space.integer_upper.astype(int)
     # one (p, threshold) per +/- unit pair, whose rows are +-e_p for p < nd
-    # and +-(e_i - e_{i-1}) with i = p - nd + 1 otherwise
-    pairs = [(i, a) for i in range(nd) for a in range(lo[i], up[i] + 1)]
-    pairs += [
-        (nd - 1 + i, a)
-        for i in range(1, nd)
-        for a in range(lo[i] - up[i - 1], up[i] - lo[i - 1] + 1)
-    ]
-    p, thresh = np.repeat(np.array(pairs, dtype=int).reshape(-1, 2), 2, axis=0).T
-    sign = np.tile([1.0, -1.0], len(pairs))
+    # and +-(e_i - e_{i-1}) with i = p - nd + 1 otherwise; p's thresholds
+    # run from first[p] to last[p]
+    first = np.concatenate([lo, lo[1:] - up[:-1]])
+    last = np.concatenate([up, up[1:] - lo[:-1]])
+    counts = last - first + 1
+    p = np.repeat(np.arange(len(counts)), counts)
+    thresh = np.arange(len(p)) - np.repeat(np.cumsum(counts) - counts - first, counts)
+    p, thresh = np.repeat(p, 2), np.repeat(thresh, 2)
+    sign = np.tile([1.0, -1.0], len(p) // 2)
     row_of = np.concatenate([[0], 1 + 2 * p + (sign < 0.0)])
     biases = np.concatenate([[1.0], -sign * thresh])
 
@@ -283,16 +283,81 @@ def sample_directions(space: SearchSpace, rng: RandomStream) -> np.ndarray:
 def corner_points(space: SearchSpace, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Box corners minimizing and maximizing the linear form weights . x.
 
-    Zero weight components follow the >= 0 branch (lower bound in the
-    minimizing corner), which keeps the choice deterministic.
+    ``weights`` is one vector or an (n, dim) stack of them, one pair of
+    corners per row. Zero weight components follow the >= 0 branch (lower
+    bound in the minimizing corner), which keeps the choice deterministic.
     """
     weights = np.asarray(weights, dtype=float)
-    if weights.shape != (space.dim,):
+    if weights.ndim not in (1, 2) or weights.shape[-1] != space.dim:
         raise DimensionMismatchError(f"weights of shape {weights.shape}, space dim {space.dim}")
     nonneg = weights >= 0.0
     min_corner = np.where(nonneg, space.lower, space.upper)
     max_corner = np.where(nonneg, space.upper, space.lower)
     return min_corner, max_corner
+
+
+def _raw_to_double(words: np.ndarray) -> np.ndarray:
+    """Generator.random() of each raw word: its top 53 bits times 2**-53."""
+    return (words >> 11) * 2.0**-53
+
+
+def _index_then_double(rng: RandomStream, n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """What ``count`` pairs of scalar calls ``rng.integers(n)``, ``rng.random()``
+    return (1 <= n < 2**32), as (indices, doubles), read at once from the bit
+    generator's raw 64-bit words. The generator is left as those calls leave it.
+
+    numpy draws ``integers(n)`` by Lemire's method on one 32-bit draw x: it
+    returns (x * n) >> 32, and draws x again while (x * n) mod 2**32 is below
+    (2**32 - n) mod n; ``integers(1)`` draws nothing. A 32-bit draw takes the
+    high half of the last raw word when that half is buffered (``has_uint32``
+    in the bit generator's state), else the low half of a new word, buffering
+    its high half. ``random()`` takes a new word and leaves the buffer alone.
+    So a unit takes a new word for its index every other unit. A unit whose
+    x is drawn again is redone with the scalar calls, and the replay goes on
+    after it.
+    """
+    bit_generator = rng.bit_generator
+    if "has_uint32" not in bit_generator.state:
+        raise InvalidSettingError(
+            "rng",
+            f"must buffer 32-bit draws (PCG64, PCG64DXSM, Philox or SFC64), "
+            f"not {type(bit_generator).__name__}",
+        )
+    if n == 1:
+        return np.zeros(count, dtype=np.int64), _raw_to_double(bit_generator.random_raw(count))
+    picks, doubles = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    while count:
+        state = bit_generator.state
+        k = np.arange(count)
+        # the units that take a new word for their index
+        fresh = (k + state["has_uint32"]) % 2 == 0
+        # word 0 holds the buffered half; each unit's double is the word after
+        # its index's word, or two after it when it uses the buffered half
+        words = np.concatenate(
+            [np.array([state["uinteger"] << 32], dtype=np.uint64),
+             bit_generator.random_raw(count + fresh.sum())]
+        )
+        double_at = 1 + k + np.cumsum(fresh)
+        held = words[np.maximum(double_at - 1 - ~fresh, 0)]
+        scaled = np.where(fresh, held & 0xFFFFFFFF, held >> 32) * np.uint64(n)
+        redrawn = np.flatnonzero((scaled & 0xFFFFFFFF) < (2**32 - n) % n)
+        done = redrawn[0] if len(redrawn) else count
+        picks.append((scaled[:done] >> 32).astype(np.int64))
+        doubles.append(_raw_to_double(words[double_at[:done]]))
+        if done < count:  # back to the end of the units kept
+            bit_generator.state = state
+            bit_generator.random_raw(double_at[done - 1] if done else 0)
+        if done:  # the buffer as the scalar calls leave it, a used half included
+            state = bit_generator.state
+            state["has_uint32"] = (state["has_uint32"] + done) % 2
+            state["uinteger"] = int(held[done - 1]) >> 32
+            bit_generator.state = state
+        if done == count:
+            break
+        picks.append(np.array([rng.integers(n)]))
+        doubles.append(np.array([rng.random()]))
+        count -= done + 1
+    return np.concatenate(picks), np.concatenate(doubles)
 
 
 def _draw_mixed_units(
@@ -304,19 +369,19 @@ def _draw_mixed_units(
     For a direction w with extreme values lo = w . argmin and hi = w . argmax
     over the box, any bias in [-hi, -lo] puts the zero level set of
     w . x + bias inside the box; the bias is drawn uniformly from that range.
-    Each unit draws its direction index and then its bias from ``rng``.
+    The stream is that of one ``rng.integers(len(directions))`` and then one
+    ``rng.uniform(-hi, -lo)`` per unit, in unit order; it is replayed from the
+    bit generator's raw words by ``_index_then_double``, with the same bits.
     """
-    ranges = []
-    for w in directions:
-        min_corner, max_corner = corner_points(space, w)
-        ranges.append((float(w @ min_corner), float(w @ max_corner)))
-    picks = np.empty(count, dtype=int)
-    biases = np.empty(count)
-    for k in range(count):
-        picks[k] = rng.integers(len(directions))
-        lo, hi = ranges[picks[k]]
-        biases[k] = rng.uniform(-hi, -lo)
-    return picks, biases
+    picks, u = _index_then_double(rng, len(directions), count)
+    min_corners, max_corners = corner_points(space, directions)
+    # one dot product per direction, summed as w @ corner sums it
+    lo = np.matmul(directions[:, None, :], min_corners[:, :, None]).ravel()
+    hi = np.matmul(directions[:, None, :], max_corners[:, :, None]).ravel()
+    # the arithmetic of rng.uniform(-hi, -lo)
+    low = -hi
+    width = -lo - low
+    return picks, low[picks] + width[picks] * u
 
 
 def build_surrogate(space: SearchSpace, rng: RandomStream) -> ReluSurrogate:
@@ -327,23 +392,26 @@ def build_surrogate(space: SearchSpace, rng: RandomStream) -> ReluSurrogate:
     ceil(n_continuous * n_integer_units / n_integer). Coefficients start at 1
     for the constant and integer units (a separable bowl whose minima sit on
     integer points) and 0 for the mixed units.
+
+    ``rng`` gives the directions, then one direction index and one bias per
+    mixed unit; the pairs are replayed from its raw words, so its bit
+    generator must buffer 32-bit draws (MT19937 does not, and raises
+    ``InvalidSettingError``). A space with no continuous variable draws nothing.
     """
     rows, row_of, biases = _integer_block(space)
     n_int_units = len(biases) - 1
-    n_mixed = 0
-    if space.n_continuous > 0:
-        directions = sample_directions(space, rng)
-        n_mixed = math.ceil(space.n_continuous * n_int_units / space.n_integer)
-        picks, mixed_biases = _draw_mixed_units(space, directions, n_mixed, rng)
-        # the used directions in order of first use, the order in which
-        # _distinct_rows would find them, so the transpose products of a
-        # hand-built copy of this model sum its rows in the same order
-        order = list(dict.fromkeys(picks.tolist()))
-        rank = np.empty(len(directions), dtype=np.intp)
-        rank[order] = np.arange(len(order))
-        row_of = np.concatenate([row_of, len(rows) + rank[picks]])
-        rows = np.concatenate([rows, directions[order]])
-        biases = np.concatenate([biases, mixed_biases])
+    directions = sample_directions(space, rng)
+    n_mixed = math.ceil(space.n_continuous * n_int_units / space.n_integer)
+    picks, mixed_biases = _draw_mixed_units(space, directions, n_mixed, rng)
+    # the used directions in order of first use, the order in which
+    # _distinct_rows would find them, so the transpose products of a
+    # hand-built copy of this model sum its rows in the same order
+    order = list(dict.fromkeys(picks.tolist()))
+    rank = np.empty(len(directions), dtype=np.intp)
+    rank[order] = np.arange(len(order))
+    row_of = np.concatenate([row_of, len(rows) + rank[picks]])
+    rows = np.concatenate([rows, directions[order]])
+    biases = np.concatenate([biases, mixed_biases])
     coeffs = np.concatenate([np.ones(1 + n_int_units), np.zeros(n_mixed)])
     fit = RecursiveLeastSquares(coeffs, lam=REGULARISER)
     rows, row_of = _grouped_rows(rows, row_of)

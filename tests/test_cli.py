@@ -283,6 +283,16 @@ def test_run_reports_a_number_beyond_the_float_range(tmp_path, capsys, key):
     assert not (tmp_path / "out").exists()
 
 
+def test_run_rejects_an_integer_bound_beyond_2_53(tmp_path, capsys):
+    raw = custom_config("space[0]", 1e20)
+    raw["output_dir"] = str(tmp_path / "out")
+    path = write_config(tmp_path, raw)
+    assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "invalid space[0]: " in err and "beyond 2**53" in err
+    assert not (tmp_path / "out").exists()
+
+
 # JSON key -> the library constructor that owns its value
 OWNERS = {
     "budget": lambda v: OptimizerConfig(budget=v),

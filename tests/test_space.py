@@ -119,6 +119,30 @@ def test_non_integer_bound_rejected():
     assert err.value.index == 1
 
 
+@pytest.mark.parametrize(
+    "lower, upper",
+    [
+        pytest.param(0, 1e20, id="float-upper"),
+        pytest.param(-(2**53) - 2, 0, id="int-lower"),
+        pytest.param(0, 10**30, id="int-upper-beyond-float-integers"),
+    ],
+)
+def test_integer_bound_beyond_2_53_rejected(lower, upper):
+    # beyond 2**53 not every integer is a float, and sampling such a range
+    # overflowed numpy's int64 bounds
+    with pytest.raises(VariableError, match=r"beyond 2\*\*53") as err:
+        SearchSpace((VariableSpec("integer", lower, upper), VariableSpec("continuous", 0, 1)))
+    assert err.value.index == 0
+
+
+def test_integer_bounds_at_2_53_are_sampled():
+    space = SearchSpace(
+        (VariableSpec("integer", -(2**53), 2**53), VariableSpec("continuous", 0, 1))
+    )
+    point = space.uniform_sample(np.random.default_rng(0))
+    assert space.contains(point) and space.is_integral(point)
+
+
 def test_purely_continuous_space_rejected():
     with pytest.raises(InvalidSettingError) as err:
         SearchSpace((VariableSpec("continuous", 0, 1),))

@@ -1,17 +1,21 @@
 """Tests for the ReLU surrogate: basis construction, evaluation, vertices."""
 
+import collections
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import one_blas_thread
-from mvrsm.errors import DimensionMismatchError
+from mvrsm.errors import DimensionMismatchError, InvalidSettingError
 from mvrsm.objectives import make_benchmark
 from mvrsm.space import SearchSpace, VariableSpec
 from mvrsm.surrogate import (
     ReluSurrogate,
     _draw_mixed_units,
+    _index_then_double,
     _integer_block,
     build_surrogate,
     corner_points,
@@ -182,6 +186,144 @@ def test_mixed_units_draw_one_index_then_one_bias_per_unit():
         q1, q2 = corner_points(space, d)
         assert w.tobytes() == d.tobytes()
         assert b == ref.uniform(-float(d @ q2), -float(d @ q1))
+
+
+@pytest.mark.parametrize("name", ["rosenbrock10", "ackley53", "rosenbrock238"])
+def test_mixed_units_at_benchmark_size_equal_the_scalar_draws(name):
+    # the direction ranges are formed for all directions at once; each must
+    # be the dot product w @ corner to the bit, at 10, 53 and 238 coordinates
+    space, _ = make_benchmark(name)
+    dirs = sample_directions(space, np.random.default_rng(6))
+    picks, biases = _draw_mixed_units(space, dirs, 300, np.random.default_rng(7))
+    ref = np.random.default_rng(7)
+    for pick, b in zip(picks, biases):
+        assert pick == ref.integers(len(dirs))
+        q1, q2 = corner_points(space, dirs[pick])
+        assert b == ref.uniform(-float(dirs[pick] @ q2), -float(dirs[pick] @ q1))
+
+
+def test_corner_points_of_a_stack_are_the_corners_of_each_row():
+    space, _ = make_benchmark("rosenbrock10")
+    weights = sample_directions(space, np.random.default_rng(8))
+    weights[0, :3] = 0.0
+    min_corners, max_corners = corner_points(space, weights)
+    for w, q1, q2 in zip(weights, min_corners, max_corners):
+        want1, want2 = corner_points(space, w)
+        assert q1.tobytes() == want1.tobytes() and q2.tobytes() == want2.tobytes()
+
+
+# -- the index and bias stream, replayed from raw words -------------------------
+
+BUFFERING_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64]
+
+
+def scalar_index_then_double(rng, n, count):
+    """The pairs one scalar call each gives: what the replay must reproduce."""
+    picks, doubles = np.empty(count, dtype=np.int64), np.empty(count)
+    for k in range(count):
+        picks[k] = rng.integers(n)
+        doubles[k] = rng.random()
+    return picks, doubles
+
+
+class CountingProxy:
+    """Forwards to a generator and its bit generator, counting the attribute
+    reads and writes (each method call is one read) by name."""
+
+    def __init__(self, target, calls=None):
+        object.__setattr__(self, "_target", target)
+        object.__setattr__(self, "calls", collections.Counter() if calls is None else calls)
+
+    def __getattr__(self, name):
+        self.calls[name] += 1
+        value = getattr(self._target, name)
+        return CountingProxy(value, self.calls) if name == "bit_generator" else value
+
+    def __setattr__(self, name, value):
+        self.calls[name] += 1
+        setattr(self._target, name, value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    bit_generator=st.sampled_from(BUFFERING_GENERATORS),
+    n=st.sampled_from([1, 2, 3, 119, 3 * 2**30, 2**32 - 1]),
+    count=st.integers(0, 200),
+    buffered=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_replayed_pairs_equal_the_scalar_calls(bit_generator, n, count, buffered, seed):
+    replayed, scalar = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+    if buffered:  # leaves the high half of a word in the 32-bit buffer
+        replayed.integers(5)
+        scalar.integers(5)
+    picks, doubles = _index_then_double(replayed, n, count)
+    want_picks, want_doubles = scalar_index_then_double(scalar, n, count)
+    assert picks.dtype == want_picks.dtype and picks.tobytes() == want_picks.tobytes()
+    assert doubles.tobytes() == want_doubles.tobytes()
+    if bit_generator is np.random.PCG64:
+        assert replayed.bit_generator.state == scalar.bit_generator.state
+    assert replayed.integers(1000) == scalar.integers(1000)
+    assert replayed.random() == scalar.random()
+
+
+@pytest.mark.parametrize("bit_generator", BUFFERING_GENERATORS)
+@pytest.mark.parametrize("buffered", [False, True])
+def test_rejected_draws_are_redone_with_the_scalar_calls(bit_generator, buffered):
+    # integers(3 * 2**30) draws x again when (3 * 2**30 * x) mod 2**32 < 2**30,
+    # a quarter of the time
+    replayed = CountingProxy(np.random.Generator(bit_generator(11)))
+    scalar = np.random.Generator(bit_generator(11))
+    if buffered:
+        replayed.integers(5)
+        scalar.integers(5)
+    replayed.calls.clear()
+    picks, doubles = _index_then_double(replayed, 3 * 2**30, 200)
+    want_picks, want_doubles = scalar_index_then_double(scalar, 3 * 2**30, 200)
+    assert picks.tobytes() == want_picks.tobytes()
+    assert doubles.tobytes() == want_doubles.tobytes()
+    assert 20 <= replayed.calls["integers"] == replayed.calls["random"] <= 100
+    assert replayed.integers(1000) == scalar.integers(1000)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_no_pairs_draw_nothing(n):
+    rng = np.random.default_rng(0)
+    rng.integers(5)
+    before = rng.bit_generator.state
+    picks, doubles = _index_then_double(rng, n, 0)
+    assert picks.shape == doubles.shape == (0,)
+    assert picks.dtype == np.int64 and doubles.dtype == float
+    assert rng.bit_generator.state == before
+
+
+def test_building_the_largest_model_makes_no_generator_call_per_unit():
+    # rosenbrock238 has 3314 mixed units; their draws are one replay
+    space, _ = make_benchmark("rosenbrock238")
+    rng, plain = CountingProxy(np.random.default_rng(0)), np.random.default_rng(0)
+    model, want = build_surrogate(space, rng), build_surrogate(space, plain)
+    assert np.count_nonzero(model.coeffs == 0.0) == 3314
+    assert rng.calls["uniform"] == 1  # the directions
+    assert rng.calls["integers"] == rng.calls["random"] == 0
+    assert sum(rng.calls.values()) <= 10, rng.calls
+    assert model.biases.tobytes() == want.biases.tobytes()
+    assert model.row_of.tobytes() == want.row_of.tobytes()
+    assert rng._target.bit_generator.state == plain.bit_generator.state
+
+
+def test_a_generator_without_a_32_bit_buffer_is_rejected():
+    for space in (one_cont_two_int(), int_space((0, 2), (0, 2))):
+        with pytest.raises(InvalidSettingError) as err:
+            build_surrogate(space, np.random.Generator(np.random.MT19937(0)))
+        assert err.value.field == "rng" and "MT19937" in err.value.reason
+
+
+def test_a_space_with_no_continuous_variable_draws_nothing():
+    rng = np.random.default_rng(0)
+    rng.integers(5)
+    before = rng.bit_generator.state
+    build_surrogate(int_space((0, 2), (0, 2)), rng)
+    assert rng.bit_generator.state == before
 
 
 # -- assembled model ----------------------------------------------------------
