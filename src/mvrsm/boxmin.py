@@ -13,7 +13,12 @@ every coordinate it claims is downhill, so the line search judges trial steps
 by the model's exact one-sided directional derivative, and when no
 quasi-Newton direction is a true descent direction the loop falls back to the
 steepest feasible coordinate move (the natural escape on a surface whose
-kinks are mostly axis-aligned).
+kinks are mostly axis-aligned). Along one axis the model is piecewise linear
+with known kinks, so that move's first trial step ends at the first kink past
+which the exact slope is no longer negative (the one-dimensional breakpoint
+scan of L-BFGS-B's generalized Cauchy point), or at the bound if none comes
+first. Along an integer axis with integral neighbours the integer units' kinks
+sit at integers. Backtracking from that step is only a fallback.
 
 The loop runs tens of thousands of line-search trials per run on models of a
 few hundred units, where call overhead dominates, so its scalar work is
@@ -113,7 +118,8 @@ def _candidates(model, x, g, pairs, lower, upper):
 
     Quasi-Newton (then steepest descent) directions are screened by their
     exact one-sided slope; when neither truly descends, the steepest feasible
-    coordinate move is offered, sized to reach its bound in one step.
+    coordinate move is offered, sized to the first kink along it where the
+    exact slope turns >= 0, or to its bound if no kink before it does.
     """
     direction = _two_loop(g, pairs)
     norm_d = math.sqrt(direction.dot(direction))
@@ -135,8 +141,8 @@ def _candidates(model, x, g, pairs, lower, upper):
         sign = 1.0 if ascent[i] <= descent[i] else -1.0
         coord = np.zeros_like(x)
         coord[i] = sign
-        room = (upper[i] - x[i]) if sign > 0.0 else (x[i] - lower[i])
-        yield coord, float(room)
+        room = float((upper[i] - x[i]) if sign > 0.0 else (x[i] - lower[i]))
+        yield coord, model.first_uphill_kink(x, i, sign, float(slopes[i]), room)
 
 
 def _line_search(model, x, f, direction, alpha, lower, upper):

@@ -45,7 +45,7 @@ class DimensionMismatchError(MvrsmError, ValueError):
 
 
 class NonFiniteError(MvrsmError, ValueError):
-    """A NaN or infinity reached a numerical routine."""
+    """A NaN or infinity reached a numerical routine, or rounding left its state invalid."""
 
 
 class ProtocolViolationError(MvrsmError, RuntimeError):

@@ -74,15 +74,23 @@ class RecursiveLeastSquares:
         if not (np.isfinite(y) and np.all(np.isfinite(phi))):
             raise NonFiniteError("non-finite observation fed to the least squares update")
 
-        if self._dense_cov is None and self.n_updates == len(self.coeffs):
-            self._dense_cov = self._multiply_out()
-            self._downdates = None
-        if self._dense_cov is None:
+        fold = self._dense_cov is None and self.n_updates == len(self.coeffs)
+        dense_cov = self._multiply_out() if fold else self._dense_cov
+        if dense_cov is None:
             u_rows = self._downdates[: self.n_updates]
             cov_phi = phi / self.lam - u_rows.T @ (u_rows @ phi)
         else:
-            cov_phi = self._dense_cov @ phi
+            cov_phi = dense_cov @ phi
         denom = 1.0 + phi @ cov_phi
+        if not denom >= 1.0:
+            # P is positive definite, so denom >= 1 in exact arithmetic
+            raise NonFiniteError(
+                f"least squares covariance lost positive definiteness at observation "
+                f"{self.n_updates + 1}: 1 + phi^T P phi = {denom!r}, "
+                f"max |phi| = {np.abs(phi).max()!r}"
+            )
+        if fold:
+            self._dense_cov, self._downdates = dense_cov, None
         gain = cov_phi / denom
         self.coeffs += gain * (y - phi @ self.coeffs)
         u = cov_phi / np.sqrt(denom)

@@ -231,6 +231,32 @@ class ReluSurrogate:
         c_kink = self._per_row(np.where(z == 0.0, self.coeffs, 0.0))
         return base + self._rows_up.T @ c_kink, -base + self._rows_down.T @ c_kink
 
+    def first_uphill_kink(self, x, i: int, sign: float, slope: float, room: float) -> float:
+        """Distance t along ``sign`` * e_i from ``x`` to the first kink past
+        which the model's exact slope is >= 0, or ``room`` if none comes first.
+
+        ``slope`` is the exact one-sided slope at t = 0+, as ``axis_derivatives``
+        gives it. Unit k's pre-activation moves as z_k + t r_k with
+        r_k = ``sign`` * w_ki, so its kink is at t_k = -z_k / r_k, and crossing
+        it changes the slope by c_k |r_k|: up for c_k > 0, down for c_k < 0.
+        Kinks in (0, room) are summed in order of t_k (ties in unit order), and
+        the slope past a kink counts every unit kinked at the same t. A unit at
+        its kink at ``x`` (t_k = +-0) is already counted in ``slope``.
+        """
+        z = self._preactivation(x)
+        rate = sign * self.rows[:, i].take(self.row_of)
+        moving = rate != 0.0
+        rate = rate[moving]
+        t = -z[moving] / rate
+        ahead = (t > 0.0) & (t < room)
+        t = t[ahead]
+        order = np.argsort(t, kind="stable")
+        t = t[order]
+        slopes = slope + np.cumsum((self.coeffs[moving][ahead] * np.abs(rate[ahead]))[order])
+        past = np.append(t[1:] != t[:-1], True)  # the last unit kinked at its t
+        turned = np.flatnonzero((slopes >= 0.0) & past)
+        return float(t[turned[0]]) if len(turned) else room
+
 
 # -- basis construction ------------------------------------------------------
 

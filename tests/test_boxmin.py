@@ -295,7 +295,7 @@ def test_line_search_matches_the_rule_that_forms_every_slope(
         assert got[1:] == expected[1:]
 
 
-def reference_minimize(model, space, start):
+def reference_minimize(model, space, start, kink_steps=None):
     """The descent loop in its library spellings, as (point, value, iterations).
 
     ``np.clip`` and ``np.linalg.norm`` throughout, curvature pairs kept as
@@ -304,6 +304,8 @@ def reference_minimize(model, space, start):
     the same steps as the descent's own line search. It runs to the default
     cap. The memory and the tolerances are read from ``boxmin`` at each call,
     as ``minimize`` reads them, so a test that patches one patches both loops.
+    Each axis move that stops at a kink before its bound appends its step to
+    ``kink_steps``, when given.
     """
     lower, upper = space.lower, space.upper
     x = np.clip(start.flatten(), lower, upper)
@@ -317,7 +319,8 @@ def reference_minimize(model, space, start):
             break
         iterations += 1
         step = None
-        for direction, alpha in reference_candidates(model, x, g, pairs, lower, upper):
+        candidates = reference_candidates(model, x, g, pairs, lower, upper, kink_steps)
+        for direction, alpha in candidates:
             step = reference_line_search(
                 model, x, f, direction, alpha, lower, upper, boxmin.STEP_TOL
             )
@@ -336,7 +339,7 @@ def reference_minimize(model, space, start):
     return x, f, iterations
 
 
-def reference_candidates(model, x, g, pairs, lower, upper):
+def reference_candidates(model, x, g, pairs, lower, upper, kink_steps=None):
     direction = reference_two_loop(g, pairs)
     norm_d = float(np.linalg.norm(direction))
     if norm_d > 0.0 and model.directional_derivative(x, direction) < 0.0:
@@ -354,7 +357,38 @@ def reference_candidates(model, x, g, pairs, lower, upper):
         sign = 1.0 if ascent[i] <= descent[i] else -1.0
         coord = np.zeros_like(x)
         coord[i] = sign
-        yield coord, float((upper[i] - x[i]) if sign > 0.0 else (x[i] - lower[i]))
+        room = float((upper[i] - x[i]) if sign > 0.0 else (x[i] - lower[i]))
+        step = reference_first_uphill_kink(model, x, i, sign, float(slopes[i]), room)
+        if kink_steps is not None and step < room:
+            kink_steps.append(step)
+        yield coord, step
+
+
+def reference_first_uphill_kink(model, x, i, sign, slope, room):
+    """The axis move's first trial step, one unit at a time.
+
+    Every unit whose kink lies strictly between 0 and ``room`` along
+    ``sign`` * e_i is a (t, unit, slope change) triple; sorted by t, ties in
+    unit order, their changes are summed in that order, and the step is the
+    first t past whose last unit ``slope`` plus the sum so far is >= 0.
+    """
+    z = model._preactivation(x)
+    weights = model.weights
+    kinks = []
+    for k in range(model.n_units):
+        rate = sign * weights[k, i]
+        if rate != 0.0:
+            t = -z[k] / rate
+            if 0.0 < t < room:
+                kinks.append((t, k, model.coeffs[k] * abs(rate)))
+    kinks.sort()
+    total = 0.0
+    for n, (t, _, change) in enumerate(kinks):
+        total += change
+        last_at_t = n + 1 == len(kinks) or kinks[n + 1][0] != t
+        if last_at_t and slope + total >= 0.0:
+            return float(t)
+    return room
 
 
 def reference_two_loop(g, pairs):
@@ -375,9 +409,9 @@ def reference_two_loop(g, pairs):
     return -q
 
 
-def assert_descent_matches_reference(model, space, start):
+def assert_descent_matches_reference(model, space, start, kink_steps=None):
     res = minimize(model, space, start)
-    x, f, iterations = reference_minimize(model, space, start)
+    x, f, iterations = reference_minimize(model, space, start, kink_steps)
     assert res.point.flatten().tobytes() == x.tobytes()
     assert (res.value, res.iterations) == (f, iterations)
     return res
@@ -422,18 +456,22 @@ def test_descent_matches_the_reference_loop_bit_for_bit(seed, dim, units, starts
 
 @pytest.mark.parametrize("name", ["rosenbrock10", "ackley53", "rosenbrock238"])
 def test_benchmark_descents_match_the_reference_loop_bit_for_bit(name):
+    # after 100 observations ackley53's descents make axis moves along its
+    # continuous coordinates that stop at a mixed unit's kink before the bound
     space, objective = make_benchmark(name, rng=np.random.default_rng([0, 1]))
     rng = np.random.default_rng(5)
     model = build_surrogate(space, rng)
-    for _ in range(12):
+    for _ in range(100):
         p = space.uniform_sample(rng)
         model.rls.update(model.features(p.flatten()), objective(p))
-    iterations = 0
+    iterations, kink_steps = 0, []
     for _ in range(4):
         iterations += assert_descent_matches_reference(
-            model, space, space.uniform_sample(rng)
+            model, space, space.uniform_sample(rng), kink_steps
         ).iterations
     assert iterations > 4
+    if name == "ackley53":
+        assert kink_steps
 
 
 def test_non_finite_model_raises():

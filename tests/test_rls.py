@@ -13,6 +13,7 @@ tests below check both phases and the step between them.
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from mvrsm.errors import (
 )
 from mvrsm.objectives import make_benchmark
 from mvrsm.rls import _BLOCK_ROWS, RecursiveLeastSquares
+from mvrsm.space import SearchSpace, VariableSpec
 
 
 def ridge_oracle(c0, lam, phi_rows, ys):
@@ -155,6 +157,39 @@ def test_non_finite_inputs_rejected():
         fit.update(np.array([np.nan, 0.0]), 1.0)
     with pytest.raises(NonFiniteError):
         fit.update(np.zeros(2), np.inf)
+
+
+def test_an_indefinite_covariance_is_reported_before_any_state_changes():
+    # features of order 1e4 against lam = 1e-8: at the 11th observation of this
+    # run rounding makes 1 + phi^T P phi negative (-0.804 under OpenBLAS),
+    # where the update would apply a gain of the wrong sign and store a NaN
+    # downdate row
+    space = SearchSpace(
+        (
+            VariableSpec("integer", 0, 4),
+            VariableSpec("continuous", -1e4, 1e4),
+            VariableSpec("continuous", -1e4, 1e4),
+        )
+    )
+    optimizer = MvrsmOptimizer(space, OptimizerConfig(budget=20, init_samples=10, rng_seed=0))
+
+    def tell_next():
+        point = optimizer.ask()
+        optimizer.tell(point, float(np.sum((point.flatten() / 1e4) ** 2)))
+
+    for _ in range(10):
+        tell_next()
+    fit = optimizer.model.rls
+
+    def state():
+        return fit.coeffs.tobytes(), fit.n_updates, fit._downdates[: fit.n_updates].tobytes()
+
+    before = state()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match=r"observation 11: .* max \|phi\| = "):
+            tell_next()
+    assert state() == before
 
 
 @pytest.mark.parametrize("m", [1, _BLOCK_ROWS, 150, 200])

@@ -500,6 +500,121 @@ def test_axis_derivatives_match_unit_vector_calls():
             assert down[i] == pytest.approx(model.directional_derivative(x, -e), abs=1e-12)
 
 
+# -- the axis move's first uphill kink -------------------------------------------
+# Dyadic weights, biases and coefficients make every kink, slope and sum exact.
+
+
+def plane_model(units, coeffs):
+    """2-D model from ((w0, w1), bias) pairs."""
+    weights, biases = zip(*units)
+    return ReluSurrogate.from_weights(np.array(weights, float), biases, coeffs)
+
+
+# max(0, 2 - x0) with c = 1: slope -1 along +x0 from the origin until t = 2
+FALLING = ((-1.0, 0.0), 2.0)
+
+
+def kink_step(model, x, room=4.0):
+    """The step along +e_0 from x, from the exact slope there."""
+    x = np.asarray(x, dtype=float)
+    slope = float(model.axis_derivatives(x)[0][0])
+    assert slope < 0.0
+    return model.first_uphill_kink(x, 0, 1.0, slope, room)
+
+
+def test_a_positive_unit_turning_on_stops_the_step_at_its_kink():
+    # max(0, x0 - 1) with c = 2 lifts the slope to +1 at t = 1
+    model = plane_model([FALLING, ((1.0, 0.0), -1.0)], [1.0, 2.0])
+    assert kink_step(model, [0.0, 0.0]) == 1.0
+
+
+def test_a_negative_kink_before_it_is_passed():
+    # max(0, x0 - 0.5) with c = -0.5 steepens the slope to -1.5 at t = 0.5;
+    # the c = 2 unit at t = 1 then lifts it to +0.5
+    model = plane_model(
+        [FALLING, ((1.0, 0.0), -0.5), ((1.0, 0.0), -1.0)], [1.0, -0.5, 2.0]
+    )
+    assert kink_step(model, [0.0, 0.0]) == 1.0
+
+
+def test_a_unit_at_its_kink_is_not_a_kink_ahead():
+    # max(0, x0) sits at its kink at the origin; the one-sided slope already
+    # counts its c = 0.5 (-1 + 0.5), and counting it again at t = 0 would
+    # turn the slope to 0 there
+    model = plane_model([FALLING, ((1.0, 0.0), 0.0), ((1.0, 0.0), -1.0)], [1.0, 0.5, 2.0])
+    assert model.axis_derivatives(np.zeros(2))[0][0] == -0.5
+    assert kink_step(model, [0.0, 0.0]) == 1.0
+    # moving down, its rate -1 puts its kink at t = -0 / -1 = +0; it turns
+    # off there, and counting its c = 1.5 would turn the slope -1 to +0.5
+    model = plane_model(
+        [((1.0, 0.0), 2.0), ((1.0, 0.0), 0.0), ((-1.0, 0.0), -1.0)], [1.0, 1.5, 2.0]
+    )
+    assert model.axis_derivatives(np.zeros(2))[1][0] == -1.0
+    assert model.first_uphill_kink(np.zeros(2), 0, -1.0, -1.0, 4.0) == 1.0
+
+
+def test_a_unit_the_axis_does_not_move_is_ignored(recwarn):
+    # max(0, x1 - z) has rate 0 along e_0, with z < 0, z == 0 and z > 0
+    tilted = [((0.0, 1.0), b) for b in (-0.25, 0.0, 0.25)]
+    model = plane_model([FALLING, ((1.0, 0.0), -1.0), *tilted], [1.0, 2.0, 8.0, 8.0, 8.0])
+    assert kink_step(model, [0.0, 0.0]) == 1.0
+    assert model.first_uphill_kink(np.zeros(2), 0, -1.0, -1.0, 4.0) == 4.0
+    assert not recwarn.list  # no division by a zero rate
+
+
+def test_with_no_kink_turning_the_slope_the_step_is_the_room():
+    # a c = 0.5 unit at t = 1 leaves the slope at -0.5 up to a room of 1.5,
+    # short of the falling unit's own kink at t = 2
+    model = plane_model([FALLING, ((1.0, 0.0), -1.0)], [1.0, 0.5])
+    assert kink_step(model, [0.0, 0.0], room=1.5) == 1.5
+    # a kink at exactly the room is not ahead
+    model = plane_model([FALLING, ((1.0, 0.0), -1.0)], [1.0, 2.0])
+    assert kink_step(model, [0.0, 0.0], room=1.0) == 1.0
+
+
+def test_units_kinked_at_one_point_are_crossed_together():
+    # at t = 1 a c = 2 unit turns on (slope +1) and a c = -1.5 unit turns on
+    # with it (slope -0.5): past that point the model still falls, so the
+    # step runs on to the c = 1 unit at t = 1.5
+    model = plane_model(
+        [FALLING, ((1.0, 0.0), -1.0), ((1.0, 0.0), -1.0), ((2.0, 0.0), -3.0)],
+        [1.0, 2.0, -1.5, 1.0],
+    )
+    assert kink_step(model, [0.0, 0.0]) == 1.5
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    dim=st.integers(min_value=1, max_value=3),
+    units=st.integers(min_value=1, max_value=10),
+)
+def test_the_kink_step_ends_where_the_exact_slope_stops_falling(seed, dim, units):
+    rng = np.random.default_rng(seed)
+    weights = rng.choice([-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0], size=(units, dim))
+    biases = rng.integers(-8, 9, size=units) / 4.0
+    model = ReluSurrogate.from_weights(weights, biases, rng.integers(-8, 9, size=units) / 4.0)
+    lower, upper = -2.0, 2.0
+    x = rng.integers(-8, 9, size=dim) / 4.0
+    i, sign = int(rng.integers(dim)), float(rng.choice([-1.0, 1.0]))
+    room = (upper - x[i]) if sign > 0.0 else (x[i] - lower)
+    e = np.zeros(dim)
+    e[i] = sign
+    slope = model.directional_derivative(x, e)
+    if not (room > 0.0 and slope < 0.0):
+        return
+    step = model.first_uphill_kink(x, i, sign, slope, room)
+    assert 0.0 < step <= room
+    # every kink strictly between 0 and the step, from the dense unit rows
+    z, rate = model.weights @ x + model.biases, model.weights @ e
+    t = -z[rate != 0.0] / rate[rate != 0.0]
+    points = np.unique(np.concatenate([[0.0, step], t[(t > 0.0) & (t < step)]]))
+    for mid in (points[:-1] + points[1:]) / 2.0:
+        assert model.directional_derivative(x + mid * e, e) < 0.0
+    if step < room:
+        assert model.directional_derivative(x + step * e, e) >= 0.0
+
+
 # -- remembered pre-activations --------------------------------------------------
 
 
