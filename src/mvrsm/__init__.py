@@ -12,6 +12,7 @@ from .boxmin import BoxMinResult, minimize
 from .driver import (
     MvrsmOptimizer,
     OptimizerConfig,
+    RandomSearch,
     RunTrace,
     TraceRecord,
     run_mvrsm,
@@ -31,6 +32,7 @@ __all__ = [
     "MvrsmOptimizer",
     "NoisyObjective",
     "OptimizerConfig",
+    "RandomSearch",
     "ReluSurrogate",
     "RunTrace",
     "SearchSpace",

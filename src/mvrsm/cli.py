@@ -26,12 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .boxmin import MAX_ITERS
-from .driver import (
-    OptimizerConfig,
-    read_trace_csv,
-    run_mvrsm,
-    run_random_search,
-)
+from .driver import MvrsmOptimizer, OptimizerConfig, RandomSearch, read_trace_csv
 from .errors import (
     ConfigError,
     InvalidSettingError,
@@ -47,7 +42,7 @@ __all__ = ["ExperimentConfig", "load_config", "run_experiment", "summarize_direc
 
 OUTPUT_DIR_ENV = "MVRSM_OUTPUT_DIR"
 NOISE_STREAM_TAG = 0x5EED  # separates the objective's noise stream from the driver's
-ALGORITHMS = {"mvrsm": run_mvrsm, "rs": run_random_search}
+ALGORITHMS = {"mvrsm": MvrsmOptimizer, "rs": RandomSearch}  # name -> ask/tell session class
 
 SUMMARY_COLUMNS = [
     "iter",
@@ -215,10 +210,11 @@ def _atomic_write(path: Path, write_fn) -> None:
 def run_experiment(config: ExperimentConfig, out=None) -> dict:
     """Execute all (algorithm, seed) runs, write traces and a summary.
 
-    A run whose objective fails is recorded and skipped; the other runs
-    still execute. The evaluations it made before failing, if any, are
-    written to ``<algo>_seed<seed>.csv.failed``, which each failure entry
-    names under ``trace`` (None when nothing was evaluated). Returns
+    A run that ends in any exception, an interrupt included, leaves the
+    values told before it, if any, in ``<algo>_seed<seed>.csv.failed``. An
+    objective failure is then recorded and skipped, and the other runs still
+    execute; each failure entry names the file under ``trace`` (None when
+    nothing was told). Any other exception propagates. Returns
     {'traces': paths, 'summary': path, 'failures': [...]}.
     """
     out = sys.stdout if out is None else out
@@ -237,18 +233,22 @@ def run_experiment(config: ExperimentConfig, out=None) -> dict:
                 config.space, config.objective, config.scale, noise_rng, config.noise_high
             )
             path = out_dir / f"{algo}_seed{seed}.csv"
+            session = ALGORITHMS[algo](config.space, run)
             try:
-                trace = ALGORITHMS[algo](objective, config.space, run)
-            except ObjectiveFailureError as exc:
-                # keep the evaluations made before the failure; the name ends
-                # in .failed so the *_seed*.csv summarize glob skips it
+                trace = session.run(objective)
+            except BaseException as exc:
+                # keep the values told before the failure; the name ends in
+                # .failed so the *_seed*.csv summarize glob skips it
                 partial = None
-                if exc.trace is not None and exc.trace.records:
+                if session.trace.records:
                     partial = out_dir / f"{algo}_seed{seed}.csv.failed"
-                    _atomic_write(partial, exc.trace.write_csv)
-                failures.append({"algo": algo, "seed": seed, "error": str(exc), "trace": partial})
+                    _atomic_write(partial, session.trace.write_csv)
                 kept = f" (partial trace in {partial})" if partial else ""
-                print(f"FAILED {algo} seed {seed}: {exc}{kept}", file=out)
+                reason = str(exc) or type(exc).__name__  # an interrupt has no message
+                print(f"FAILED {algo} seed {seed}: {reason}{kept}", file=out)
+                if not isinstance(exc, ObjectiveFailureError):
+                    raise
+                failures.append({"algo": algo, "seed": seed, "error": str(exc), "trace": partial})
                 continue
             _atomic_write(path, trace.write_csv)
             trace_paths.append(path)

@@ -1,4 +1,6 @@
-"""Optimization driver: run loops, ask/tell session, and run traces.
+"""Optimization driver: the ask/tell sessions of both algorithms, their one
+run loop, and run traces. ``MvrsmOptimizer`` is the ``RandomSearch`` session
+with its own proposals and its own use of each told value.
 
 One iteration of the surrogate loop is: evaluate the objective at the
 current point, fold the observation into the least squares fit, descend the
@@ -26,6 +28,7 @@ from .boxmin import MAX_ITERS, minimize
 from .errors import (
     InvalidSettingError,
     MalformedTraceError,
+    NonFiniteError,
     ObjectiveFailureError,
     ProtocolViolationError,
 )
@@ -37,6 +40,7 @@ __all__ = [
     "OptimizerConfig",
     "TraceRecord",
     "RunTrace",
+    "RandomSearch",
     "MvrsmOptimizer",
     "run_mvrsm",
     "run_random_search",
@@ -87,7 +91,6 @@ class TraceRecord:
 @dataclass
 class RunTrace:
     records: list[TraceRecord] = field(default_factory=list)
-    aborted: bool = False
 
     def __len__(self) -> int:
         return len(self.records)
@@ -165,27 +168,23 @@ def read_trace_csv(path) -> dict[str, np.ndarray]:
     }
 
 
-class MvrsmOptimizer:
-    """Ask/tell interface to the surrogate loop.
+class RandomSearch:
+    """Ask/tell session of the random-search baseline, whose every point is a
+    uniform draw, and the bookkeeping a subclass's ``_propose`` and ``_learn`` share.
 
-    ``ask`` proposes the next point to evaluate; ``tell`` feeds the observed
-    value back and advances the model. Strict alternation is enforced, and
-    ``tell`` accepts only the pending ``ask``'s point (equal coordinates; a
-    copy will do): a rejected ``tell`` changes nothing and leaves the ask
-    pending. A plain loop over ask/evaluate/tell reproduces ``run_mvrsm``
-    exactly for the same seed, because ``run_mvrsm`` is that loop.
+    ``ask`` proposes the next point; ``tell`` feeds back its value. They must
+    alternate, and ``tell`` accepts only the pending ``ask``'s point (a copy
+    will do) and a finite value: a rejected ``tell`` changes nothing. ``run``
+    is a plain ask/evaluate/tell loop, so a hand-driven session reproduces it.
     """
 
     def __init__(self, space: SearchSpace, config: OptimizerConfig):
         self.space = space
         self.config = config
         self._rng = np.random.default_rng(config.rng_seed)
-        self.model = build_surrogate(space, self._rng)
         self.trace = RunTrace()
         self._pending: MixedPoint | None = None
-        self._told = 0
         self._ask_seconds = 0.0
-        self._current: MixedPoint | None = None
         self._best_y = np.inf
         self._best_point: MixedPoint | None = None
 
@@ -193,10 +192,7 @@ class MvrsmOptimizer:
         if self._pending is not None:
             raise ProtocolViolationError("ask() called again before tell()")
         tic = time.perf_counter()
-        if self._told < self.config.init_samples:
-            point = self.space.uniform_sample(self._rng)
-        else:
-            point = self._current
+        point = self._propose()
         self._ask_seconds = time.perf_counter() - tic
         self._pending = point
         return point
@@ -211,76 +207,77 @@ class MvrsmOptimizer:
         ):
             raise ProtocolViolationError("tell() given a point other than the pending ask()'s")
         y = float(y)
+        if not np.isfinite(y):
+            raise NonFiniteError(f"tell() given non-finite value {y!r}")
         tic = time.perf_counter()
 
-        self.model.rls.update(self.model.features(point.flatten()), y)
+        self._learn(point, y)
         if y < self._best_y:
-            self._best_y = y
-            self._best_point = point
+            self._best_y, self._best_point = y, point
 
-        index = self._told + 1
+        step = time.perf_counter() - tic + self._ask_seconds
+        self.trace.records.append(
+            TraceRecord(len(self.trace) + 1, point, y, self._best_y, self._best_point, step)
+        )
+        self._pending = None
+
+    def run(self, objective: Objective) -> RunTrace:
+        """Ask, evaluate and tell until ``config.budget`` values are told; an objective
+        that raises or returns a non-finite value raises ``ObjectiveFailureError``."""
+        while len(self.trace) < self.config.budget:
+            point = self.ask()
+            try:
+                y = float(objective(point))
+            except Exception as exc:
+                raise ObjectiveFailureError(f"objective raised: {exc}") from exc
+            if not np.isfinite(y):
+                raise ObjectiveFailureError(f"objective returned non-finite value {y!r}")
+            self.tell(point, y)
+        return self.trace
+
+    def _propose(self) -> MixedPoint:
+        return self.space.uniform_sample(self._rng)
+
+    def _learn(self, point: MixedPoint, y: float) -> None:
+        """Take in a told value before it becomes the best; raising leaves the best as it was."""
+
+
+class MvrsmOptimizer(RandomSearch):
+    """Ask/tell session of the surrogate loop: random search's first ``init_samples``
+    draws, then descents from the best point. Every told value updates the fit."""
+
+    def __init__(self, space: SearchSpace, config: OptimizerConfig):
+        super().__init__(space, config)
+        self.model = build_surrogate(space, self._rng)
+        self._current: MixedPoint | None = None
+
+    def _propose(self) -> MixedPoint:
+        if len(self.trace) < self.config.init_samples:
+            return super()._propose()
+        return self._current
+
+    def _learn(self, point: MixedPoint, y: float) -> None:
+        self.model.rls.update(self.model.features(point.flatten()), y)
+        best_point = point if y < self._best_y else self._best_point
+        index = len(self.trace) + 1
         if index == self.config.init_samples:
-            self._current = self._best_point
+            self._current = best_point
         elif index > self.config.init_samples:
-            result = minimize(self.model, self.space, self._best_point, self.config.max_iters)
+            result = minimize(self.model, self.space, best_point, self.config.max_iters)
             proposal = self.space.project(result.point)
             self._current = MixedPoint(
                 perturb_continuous(self.space, proposal.xc, self._rng),
                 perturb_integer(self.space, proposal.xd, self._rng),
             )
 
-        step = time.perf_counter() - tic + self._ask_seconds
-        self.trace.records.append(
-            TraceRecord(index, point, y, self._best_y, self._best_point, step)
-        )
-        self._told = index
-        self._pending = None
-        self._ask_seconds = 0.0
-
 
 def run_mvrsm(objective: Objective, space: SearchSpace, config: OptimizerConfig) -> RunTrace:
     """Run the surrogate loop for ``config.budget`` evaluations."""
-    optimizer = MvrsmOptimizer(space, config)
-    _drive(optimizer.ask, optimizer.tell, optimizer.trace, objective, config.budget)
-    return optimizer.trace
+    return MvrsmOptimizer(space, config).run(objective)
 
 
 def run_random_search(
     objective: Objective, space: SearchSpace, config: OptimizerConfig
 ) -> RunTrace:
     """Baseline: ``config.budget`` independent uniform draws."""
-    rng = np.random.default_rng(config.rng_seed)
-    trace = RunTrace()
-    best_y = np.inf
-    best_point = None
-    for index in range(1, config.budget + 1):
-        tic = time.perf_counter()
-        point = space.uniform_sample(rng)
-        step = time.perf_counter() - tic
-        y = _evaluate(objective, point, trace)
-        tic = time.perf_counter()
-        if y < best_y:
-            best_y, best_point = y, point
-        trace.records.append(
-            TraceRecord(index, point, y, best_y, best_point, step + time.perf_counter() - tic)
-        )
-    return trace
-
-
-def _drive(ask, tell, trace, objective, budget: int) -> None:
-    for _ in range(budget):
-        point = ask()
-        y = _evaluate(objective, point, trace)
-        tell(point, y)
-
-
-def _evaluate(objective: Objective, point: MixedPoint, trace: RunTrace) -> float:
-    try:
-        y = float(objective(point))
-    except Exception as exc:
-        trace.aborted = True
-        raise ObjectiveFailureError(f"objective raised: {exc}", trace=trace) from exc
-    if not np.isfinite(y):
-        trace.aborted = True
-        raise ObjectiveFailureError(f"objective returned non-finite value {y!r}", trace=trace)
-    return y
+    return RandomSearch(space, config).run(objective)

@@ -45,7 +45,8 @@ class DimensionMismatchError(MvrsmError, ValueError):
 
 
 class NonFiniteError(MvrsmError, ValueError):
-    """A NaN or infinity reached a numerical routine, or rounding left its state invalid."""
+    """A NaN or infinity reached ``tell`` or a numerical routine, or rounding left
+    a routine's state invalid."""
 
 
 class ProtocolViolationError(MvrsmError, RuntimeError):
@@ -53,11 +54,8 @@ class ProtocolViolationError(MvrsmError, RuntimeError):
 
 
 class ObjectiveFailureError(MvrsmError, RuntimeError):
-    """The objective raised or returned a non-finite value; carries the partial trace."""
-
-    def __init__(self, message: str, trace=None):
-        self.trace = trace
-        super().__init__(message)
+    """The objective raised or returned a non-finite value during a session's ``run``;
+    the session's ``trace`` holds the values told before it."""
 
 
 class ConfigError(MvrsmError, ValueError):

@@ -17,8 +17,9 @@ from mvrsm.cli import (
     run_experiment,
     summarize_directory,
 )
-from mvrsm.driver import OptimizerConfig, RunTrace, read_trace_csv, run_mvrsm, run_random_search
-from mvrsm.errors import ConfigError, MalformedTraceError, MvrsmError, ObjectiveFailureError
+from mvrsm.driver import OptimizerConfig, read_trace_csv, run_mvrsm, run_random_search
+from mvrsm.errors import ConfigError, MalformedTraceError, MvrsmError, NonFiniteError
+from mvrsm.rls import RecursiveLeastSquares
 from mvrsm.objectives import BENCHMARKS, NoisyObjective, make_benchmark, make_objective
 from mvrsm.space import SearchSpace, VariableSpec
 
@@ -428,12 +429,36 @@ def test_output_dir_environment_override(tmp_path, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
-def test_failed_runs_are_skipped_and_exit_two(tmp_path, monkeypatch, capsys):
-    def boom(objective, space, config):
-        trace = RunTrace(aborted=True)
-        raise ObjectiveFailureError("synthetic failure", trace=trace)
+def evaluating(session_class, wrap):
+    """``session_class``, but each run evaluates ``wrap(objective)`` instead of the objective."""
 
-    monkeypatch.setitem(cli.ALGORITHMS, "mvrsm", boom)
+    class Wrapped(session_class):
+        def run(self, objective):
+            return super().run(wrap(objective))
+
+    return Wrapped
+
+
+def failing_on(evaluation, error):
+    """Wraps an objective so that its ``evaluation``-th call raises ``error``."""
+
+    def wrap(objective):
+        calls = []
+
+        def flaky(point):
+            calls.append(point)
+            if len(calls) == evaluation:
+                raise error
+            return objective(point)
+
+        return flaky
+
+    return wrap
+
+
+def test_failed_runs_are_skipped_and_exit_two(tmp_path, monkeypatch, capsys):
+    failing = evaluating(cli.ALGORITHMS["mvrsm"], failing_on(1, RuntimeError("synthetic failure")))
+    monkeypatch.setitem(cli.ALGORITHMS, "mvrsm", failing)
     path = write_config(tmp_path, base_config(tmp_path, seeds=[0]))
     code = main(["run", str(path)])
     assert code == 2
@@ -446,20 +471,8 @@ def test_failed_runs_are_skipped_and_exit_two(tmp_path, monkeypatch, capsys):
 
 
 def test_failed_run_keeps_its_partial_trace_out_of_the_summary(tmp_path, monkeypatch, capsys):
-    run_mvrsm = cli.ALGORITHMS["mvrsm"]
-
-    def fails_on_sixth_evaluation(objective, space, config):
-        calls = []
-
-        def flaky(point):
-            calls.append(point)
-            if len(calls) == 6:
-                raise RuntimeError("sensor offline")
-            return objective(point)
-
-        return run_mvrsm(flaky, space, config)
-
-    monkeypatch.setitem(cli.ALGORITHMS, "mvrsm", fails_on_sixth_evaluation)
+    failing = evaluating(cli.ALGORITHMS["mvrsm"], failing_on(6, RuntimeError("sensor offline")))
+    monkeypatch.setitem(cli.ALGORITHMS, "mvrsm", failing)
     result = run_experiment(load_config(write_config(tmp_path, base_config(tmp_path, seeds=[0]))))
     out_dir = tmp_path / "out"
     partial = out_dir / "mvrsm_seed0.csv.failed"
@@ -477,15 +490,53 @@ def test_failed_run_keeps_its_partial_trace_out_of_the_summary(tmp_path, monkeyp
 
 
 def test_all_runs_failed_leaves_header_only_summary(tmp_path, monkeypatch):
-    def boom(objective, space, config):
-        raise ObjectiveFailureError("synthetic failure", trace=RunTrace(aborted=True))
-
-    monkeypatch.setitem(cli.ALGORITHMS, "mvrsm", boom)
-    monkeypatch.setitem(cli.ALGORITHMS, "rs", boom)
+    for algo in ("mvrsm", "rs"):
+        failing = evaluating(cli.ALGORITHMS[algo], failing_on(1, RuntimeError("synthetic failure")))
+        monkeypatch.setitem(cli.ALGORITHMS, algo, failing)
     path = write_config(tmp_path, base_config(tmp_path, seeds=[0]))
     assert main(["run", str(path)]) == 2
     summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
     assert summary == [",".join(SUMMARY_COLUMNS)]
+
+
+@pytest.mark.parametrize("algo", ["mvrsm", "rs"])
+def test_an_interrupted_run_keeps_its_partial_trace(tmp_path, monkeypatch, capsys, algo):
+    raw = base_config(tmp_path, algorithms=[algo], seeds=[0])
+    clean = {**raw, "output_dir": str(tmp_path / "clean")}
+    clean = run_experiment(load_config(write_config(tmp_path, clean)))
+    # with init_samples 24, MVRSM proposed the 26th point by a descent
+    interrupted = evaluating(cli.ALGORITHMS[algo], failing_on(26, KeyboardInterrupt()))
+    monkeypatch.setitem(cli.ALGORITHMS, algo, interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(load_config(write_config(tmp_path, raw)))
+    partial = tmp_path / "out" / f"{algo}_seed0.csv.failed"
+    assert f"FAILED {algo} seed 0: KeyboardInterrupt (partial trace in {partial})" in (
+        capsys.readouterr().out
+    )
+    kept, reference = read_trace_csv(partial), read_trace_csv(clean["traces"][0])
+    np.testing.assert_array_equal(kept["iter"], np.arange(1, 26))
+    for column in ("y", "best_y", "coords"):
+        np.testing.assert_array_equal(kept[column], reference[column][:25])
+    assert not (tmp_path / "out" / "summary.csv").exists()
+
+
+def test_a_fit_failure_keeps_the_partial_trace_and_exits_one(tmp_path, monkeypatch, capsys):
+    update = RecursiveLeastSquares.update
+    calls = []
+
+    def fails_on_thirtieth(self, phi, y):
+        calls.append(y)
+        if len(calls) == 30:
+            raise NonFiniteError("synthetic fit failure")
+        return update(self, phi, y)
+
+    monkeypatch.setattr(RecursiveLeastSquares, "update", fails_on_thirtieth)
+    path = write_config(tmp_path, base_config(tmp_path, algorithms=["mvrsm"], budget=40, seeds=[0]))
+    assert main(["run", str(path)]) == 1
+    assert "error: synthetic fit failure" in capsys.readouterr().err
+    kept = read_trace_csv(tmp_path / "out" / "mvrsm_seed0.csv.failed")
+    assert kept["y"].shape == (29,)
+    assert not (tmp_path / "out" / "mvrsm_seed0.csv").exists()
 
 
 # -- summarizing -------------------------------------------------------------

@@ -10,12 +10,18 @@ from mvrsm import driver
 from mvrsm.driver import (
     MvrsmOptimizer,
     OptimizerConfig,
+    RandomSearch,
     RunTrace,
     read_trace_csv,
     run_mvrsm,
     run_random_search,
 )
-from mvrsm.errors import InvalidSettingError, ObjectiveFailureError, ProtocolViolationError
+from mvrsm.errors import (
+    InvalidSettingError,
+    NonFiniteError,
+    ObjectiveFailureError,
+    ProtocolViolationError,
+)
 from mvrsm.space import MixedPoint, SearchSpace, VariableSpec
 
 
@@ -118,7 +124,6 @@ def test_all_evaluated_points_feasible():
     for record in trace.records:
         assert space.contains(record.point)
         assert space.is_integral(record.point)
-    assert not trace.aborted
 
 
 def test_best_curve_non_increasing_and_indices_one_based():
@@ -141,8 +146,12 @@ def test_identical_seeds_reproduce_trace():
         np.testing.assert_array_equal(ra.point.flatten(), rb.point.flatten())
 
 
-def test_ask_tell_protocol_enforced():
-    opt = MvrsmOptimizer(small_space(), OptimizerConfig(budget=30))
+SESSIONS = [MvrsmOptimizer, RandomSearch]
+
+
+@pytest.mark.parametrize("session_class", SESSIONS)
+def test_ask_tell_protocol_enforced(session_class):
+    opt = session_class(small_space(), OptimizerConfig(budget=30))
     with pytest.raises(ProtocolViolationError):
         opt.tell(small_space().uniform_sample(np.random.default_rng(0)), 1.0)
     point = opt.ask()
@@ -152,10 +161,11 @@ def test_ask_tell_protocol_enforced():
     assert opt.ask() is not None
 
 
-def test_tell_rejects_a_point_other_than_the_pending_one():
+@pytest.mark.parametrize("session_class", SESSIONS)
+def test_tell_rejects_a_point_other_than_the_pending_one(session_class):
     space = small_space()
     cfg = OptimizerConfig(budget=30, rng_seed=9)
-    opt = MvrsmOptimizer(space, cfg)
+    opt = session_class(space, cfg)
     for _ in range(cfg.budget):
         point = opt.ask()
         xd = point.xd.copy()
@@ -171,10 +181,37 @@ def test_tell_rejects_a_point_other_than_the_pending_one():
         # a rejected tell records nothing, and an equal copy is accepted
         opt.tell(MixedPoint(point.xc.copy(), point.xd.copy()), quadratic(point))
     # the rejected tells left the run exactly as an undisturbed one
-    reference = run_mvrsm(quadratic, space, cfg)
+    reference = session_class(space, cfg).run(quadratic)
     np.testing.assert_array_equal(opt.trace.y_values(), reference.y_values())
     for ra, rb in zip(opt.trace.records, reference.records):
         np.testing.assert_array_equal(ra.point.flatten(), rb.point.flatten())
+
+
+@pytest.mark.parametrize("session_class", SESSIONS)
+def test_tell_rejects_a_non_finite_value(session_class):
+    space = small_space()
+    cfg = OptimizerConfig(budget=30, rng_seed=4)
+    opt = session_class(space, cfg)
+    for i in range(cfg.budget):
+        point = opt.ask()
+        for bad in (np.nan, -np.inf):
+            with pytest.raises(NonFiniteError, match="non-finite"):
+                opt.tell(point, bad)
+            # nothing was recorded, and the ask is still pending
+            assert len(opt.trace) == i
+            with pytest.raises(ProtocolViolationError):
+                opt.ask()
+        opt.tell(point, quadratic(point))
+    # a following finite tell gives the undisturbed run: a -inf kept as the
+    # best would show in best_y, a value fed to the fit in the coefficients
+    reference = session_class(space, cfg)
+    reference.run(quadratic)
+    np.testing.assert_array_equal(opt.trace.y_values(), reference.trace.y_values())
+    np.testing.assert_array_equal(opt.trace.best_y_curve(), reference.trace.best_y_curve())
+    for ra, rb in zip(opt.trace.records, reference.trace.records):
+        np.testing.assert_array_equal(ra.point.flatten(), rb.point.flatten())
+    if session_class is MvrsmOptimizer:
+        np.testing.assert_array_equal(opt.model.coeffs, reference.model.coeffs)
 
 
 def test_ask_tell_loop_matches_run_mvrsm():
@@ -199,21 +236,20 @@ def test_raising_objective_aborts_with_partial_trace():
             raise RuntimeError("sensor offline")
         return quadratic(point)
 
-    with pytest.raises(ObjectiveFailureError) as excinfo:
-        run_mvrsm(flaky, small_space(), OptimizerConfig(budget=30))
-    trace = excinfo.value.trace
-    assert trace.aborted
-    assert len(trace) == 9
+    session = MvrsmOptimizer(small_space(), OptimizerConfig(budget=30))
+    with pytest.raises(ObjectiveFailureError, match="sensor offline"):
+        session.run(flaky)
+    assert len(session.trace) == 9
 
 
 def test_non_finite_objective_value_aborts():
     def broken(point):
         return np.inf
 
-    with pytest.raises(ObjectiveFailureError) as excinfo:
-        run_random_search(broken, small_space(), OptimizerConfig(budget=5, init_samples=5))
-    assert excinfo.value.trace.aborted
-    assert len(excinfo.value.trace) == 0
+    session = RandomSearch(small_space(), OptimizerConfig(budget=5, init_samples=5))
+    with pytest.raises(ObjectiveFailureError, match="non-finite"):
+        session.run(broken)
+    assert len(session.trace) == 0
 
 
 def test_step_seconds_excludes_objective_time():
