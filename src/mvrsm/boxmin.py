@@ -62,7 +62,6 @@ CURVATURE_EPS = 1e-10
 @dataclass(frozen=True, eq=False)
 class BoxMinResult:
     point: MixedPoint
-    value: float
     iterations: int
 
 
@@ -110,7 +109,7 @@ def minimize(
         if step_norm < STEP_TOL:
             break
 
-    return BoxMinResult(point=space.unflatten(x), value=f, iterations=iterations)
+    return BoxMinResult(point=space.unflatten(x), iterations=iterations)
 
 
 def _candidates(model, x, g, pairs, lower, upper):

@@ -95,15 +95,6 @@ class RunTrace:
     def __len__(self) -> int:
         return len(self.records)
 
-    def best_y_curve(self) -> np.ndarray:
-        return np.array([r.best_y for r in self.records])
-
-    def y_values(self) -> np.ndarray:
-        return np.array([r.y for r in self.records])
-
-    def step_seconds(self) -> np.ndarray:
-        return np.array([r.step_seconds for r in self.records])
-
     # -- export ------------------------------------------------------------
 
     def write_csv(self, path) -> None:
@@ -134,8 +125,9 @@ def read_trace_csv(path) -> dict[str, np.ndarray]:
     other columns are ignored. ``coords`` holds the xc* columns, then the
     xd* columns, each block in index order. Raises MalformedTraceError for a
     file that is not UTF-8 text or that the csv module rejects, and for one
-    without data rows, with ragged rows, a missing column or a non-numeric
-    cell.
+    without data rows, with ragged rows or a missing column, or whose read
+    columns hold a non-numeric or non-finite cell, or an iter that is not a
+    whole number in the int64 range.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -159,8 +151,12 @@ def read_trace_csv(path) -> dict[str, np.ndarray]:
         data = np.array([[float(row[j]) for j in picked] for row in body])
     except ValueError as exc:
         raise MalformedTraceError(f"malformed trace file {path}: {exc}") from exc
+    iters = data[:, 0]
+    whole = (iters == np.round(iters)) & (abs(iters) < 2.0**63)
+    if not (np.all(np.isfinite(data)) and np.all(whole)):
+        raise MalformedTraceError(f"trace file {path} has a non-finite cell or a non-int64 iter")
     return {
-        "iter": data[:, 0].astype(int),
+        "iter": iters.astype(int),
         "y": data[:, 1],
         "best_y": data[:, 2],
         "step_seconds": data[:, 3],

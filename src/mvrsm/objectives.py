@@ -56,7 +56,7 @@ def rosenbrock(x, scale: float = 1.0) -> float:
 class NoisyObjective:
     """Callable on MixedPoints: base value plus Uniform[0, noise_high) noise.
 
-    ``noise_high = 0`` disables the noise. Evaluations are counted.
+    ``noise_high = 0`` disables the noise.
     """
 
     def __init__(
@@ -73,10 +73,8 @@ class NoisyObjective:
         self._base = base
         self._rng = rng if rng is not None else np.random.default_rng()
         self.noise_high = float(noise_high)
-        self.evaluations = 0
 
     def __call__(self, point: MixedPoint) -> float:
-        self.evaluations += 1
         value = float(self._base(point))
         if self.noise_high > 0.0:
             value += self._rng.uniform(0.0, self.noise_high)
@@ -103,7 +101,7 @@ def make_objective(
     noise_high: float,
 ) -> NoisyObjective:
     """Noise-wrapped ``scale * OBJECTIVES[name]`` of the coordinates in declaration order."""
-    if name not in OBJECTIVES:
+    if not isinstance(name, str) or name not in OBJECTIVES:  # a non-string may be unhashable
         known = sorted(OBJECTIVES)
         raise InvalidSettingError("name", f"{name!r} is an unknown objective; available: {known}")
     if not (_is_real(scale) and 0 < scale <= sys.float_info.max):

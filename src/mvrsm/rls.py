@@ -49,20 +49,6 @@ class RecursiveLeastSquares:
         self._downdates = np.empty((0, len(self.coeffs)))
         self._dense_cov = None
 
-    @property
-    def cov(self) -> np.ndarray:
-        """The covariance (Phi^T Phi + lam I)^{-1}, read-only.
-
-        Before the fold this multiplies out I/lam - U^T U, an M x M array;
-        the fit itself never needs it.
-        """
-        if self._dense_cov is None:
-            cov = self._multiply_out()
-        else:
-            cov = self._dense_cov.view()
-        cov.flags.writeable = False
-        return cov
-
     def update(self, phi, y: float) -> None:
         """Fold one observation (features phi, response y) into the fit."""
         phi = np.asarray(phi, dtype=float)

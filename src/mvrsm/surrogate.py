@@ -63,9 +63,8 @@ class ReluSurrogate:
     Unit k is row ``row_of[k]`` of ``rows`` (in that layout) plus
     ``biases[k]``: integer units are +-e_i or +-(e_i - e_{i-1}) and mixed
     units share n_continuous directions, so the M = 6629 units of
-    rosenbrock238 have 597 distinct rows. The dense unit rows,
-    ``weights == rows[row_of]``, are formed only when read, for inspection;
-    ``from_weights`` factors a model built by hand from them. The model owns
+    rosenbrock238 have 597 distinct rows. The dense unit rows
+    ``weights = rows[row_of]`` are never formed. The model owns
     its unit rows: ``rows``, ``row_of`` and ``biases`` are made read-only,
     without a copy, when they are set. The pre-activations
     z = weights @ x + biases do not depend on the coefficients, so they are
@@ -80,10 +79,7 @@ class ReluSurrogate:
     full 4-row kernel group or in the last M mod 4 rows, so the distinct rows
     are padded with zero rows to whole groups, the last M mod 4 units get
     their own copies at the very end, and a row and its negation are stored
-    apart (folding the sign would turn a +0 product into -0). Rows are in
-    order of first use, in ``build_surrogate`` and in ``from_weights`` alike,
-    so a hand-built copy of a built model has the same layout and gives the
-    same bits.
+    apart (folding the sign would turn a +0 product into -0).
 
     The transpose products weights.T @ u of ``gradient`` and
     ``axis_derivatives`` sum u over the units of each row (a bincount, in
@@ -121,21 +117,6 @@ class ReluSurrogate:
             )
         if np.any((row_of < 0) | (row_of >= len(self.rows))):
             raise DimensionMismatchError(f"row_of names rows outside the {len(self.rows)} rows")
-
-    @classmethod
-    def from_weights(cls, weights, biases, coeffs, rls=None) -> "ReluSurrogate":
-        """The model whose unit k is row k of ``weights`` plus ``biases[k]``."""
-        weights = np.asarray(weights, dtype=float)
-        if weights.ndim != 2:
-            raise DimensionMismatchError(f"weights of shape {weights.shape}")
-        return cls(*_grouped_rows(*_distinct_rows(weights)), biases, coeffs, rls)
-
-    @property
-    def weights(self) -> np.ndarray:
-        """The dense unit rows rows[row_of], formed anew (read-only) on each read."""
-        weights = self.rows[self.row_of]
-        weights.flags.writeable = False
-        return weights
 
     @property
     def n_units(self) -> int:
@@ -429,9 +410,8 @@ def build_surrogate(space: SearchSpace, rng: RandomStream) -> ReluSurrogate:
     directions = sample_directions(space, rng)
     n_mixed = math.ceil(space.n_continuous * n_int_units / space.n_integer)
     picks, mixed_biases = _draw_mixed_units(space, directions, n_mixed, rng)
-    # the used directions in order of first use, the order in which
-    # _distinct_rows would find them, so the transpose products of a
-    # hand-built copy of this model sum its rows in the same order
+    # the used directions in order of first use: the transpose products sum
+    # the rows in this order, so the seeded traces' bits depend on it
     order = list(dict.fromkeys(picks.tolist()))
     rank = np.empty(len(directions), dtype=np.intp)
     rank[order] = np.arange(len(order))
@@ -442,17 +422,6 @@ def build_surrogate(space: SearchSpace, rng: RandomStream) -> ReluSurrogate:
     fit = RecursiveLeastSquares(coeffs, lam=REGULARISER)
     rows, row_of = _grouped_rows(rows, row_of)
     return ReluSurrogate(rows, row_of, biases, fit.coeffs, rls=fit)
-
-
-def _distinct_rows(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact factorisation weights == rows[row_of]: rows with equal bytes are
-    stored once, in order of first appearance."""
-    index: dict[bytes, int] = {}
-    row_of = np.array(
-        [index.setdefault(row.tobytes(), len(index)) for row in weights], dtype=np.intp
-    )
-    first = np.unique(row_of, return_index=True)[1]
-    return weights[first], row_of
 
 
 def _grouped_rows(rows: np.ndarray, row_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

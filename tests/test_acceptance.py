@@ -22,6 +22,7 @@ from mvrsm.objectives import make_benchmark
 from mvrsm.rls import RecursiveLeastSquares
 from mvrsm.space import SearchSpace, VariableSpec
 from mvrsm.surrogate import _draw_mixed_units, build_surrogate, corner_points, sample_directions
+from handbuilt import dense_weights, trace_array
 from vertices import enumerate_vertices
 
 
@@ -43,9 +44,9 @@ def benchmark_curves(name, budget, seeds):
     for seed in seeds:
         config = OptimizerConfig(budget=budget, init_samples=24, rng_seed=seed)
         space, objective = make_benchmark(name, rng=np.random.default_rng([seed, 1]))
-        surrogate_runs.append(run_mvrsm(objective, space, config).best_y_curve())
+        surrogate_runs.append(trace_array(run_mvrsm(objective, space, config), "best_y"))
         space, objective = make_benchmark(name, rng=np.random.default_rng([seed, 1]))
-        baseline_runs.append(run_random_search(objective, space, config).best_y_curve())
+        baseline_runs.append(trace_array(run_random_search(objective, space, config), "best_y"))
     return np.stack(surrogate_runs), np.stack(baseline_runs)
 
 
@@ -130,12 +131,13 @@ def test_04_gradient_matches_finite_differences_off_the_kinks():
     )
     model = build_surrogate(space, rng)
     model.coeffs[:] = rng.uniform(-1.0, 1.0, model.n_units)
+    weights = dense_weights(model)
     h = 1e-7
     checked = 0
     worst = 0.0
     while checked < 1000:
         x = rng.uniform(space.lower, space.upper)
-        z = model.weights @ x + model.biases
+        z = weights @ x + model.biases
         if np.min(np.abs(z)) <= 1e-6:
             continue  # too close to a kink for a clean two-sided difference
         grad = model.gradient(x)
@@ -236,11 +238,11 @@ def test_08_per_iteration_cost_stays_flat():
         runs.append(run_mvrsm(objective, space, config))
         elapsed.append(time.perf_counter() - tic)
     a, b = runs
-    np.testing.assert_array_equal(a.y_values(), b.y_values())
+    np.testing.assert_array_equal(trace_array(a, "y"), trace_array(b, "y"))
     np.testing.assert_array_equal(
         [r.point.flatten() for r in a.records], [r.point.flatten() for r in b.records]
     )
-    steps = np.minimum(a.step_seconds(), b.step_seconds())
+    steps = np.minimum(trace_array(a, "step_seconds"), trace_array(b, "step_seconds"))
     decile = len(steps) // 10
     first = float(steps[:decile].mean())
     last = float(steps[-decile:].mean())
@@ -263,8 +265,8 @@ def test_09_runs_are_bit_exact_under_a_fixed_seed():
         )
         traces.append(run_mvrsm(objective, space, config))
     a, b = traces
-    assert np.array_equal(a.y_values(), b.y_values())
-    assert np.array_equal(a.best_y_curve(), b.best_y_curve())
+    assert np.array_equal(trace_array(a, "y"), trace_array(b, "y"))
+    assert np.array_equal(trace_array(a, "best_y"), trace_array(b, "best_y"))
     for ra, rb in zip(a.records, b.records):
         assert np.array_equal(ra.point.flatten(), rb.point.flatten())
         assert np.array_equal(ra.best_point.flatten(), rb.best_point.flatten())
@@ -284,8 +286,8 @@ def test_10_ask_tell_session_reproduces_the_run_loop():
         point = session.ask()
         session.tell(point, objective(point))
 
-    assert np.array_equal(session.trace.y_values(), reference.y_values())
-    assert np.array_equal(session.trace.best_y_curve(), reference.best_y_curve())
+    assert np.array_equal(trace_array(session.trace, "y"), trace_array(reference, "y"))
+    assert np.array_equal(trace_array(session.trace, "best_y"), trace_array(reference, "best_y"))
     for ra, rb in zip(session.trace.records, reference.records):
         assert np.array_equal(ra.point.flatten(), rb.point.flatten())
     elapsed = time.perf_counter() - tic
@@ -305,7 +307,7 @@ def test_11_beats_random_search_on_rosenbrock238():
             space, objective = make_benchmark(
                 "rosenbrock238", rng=np.random.default_rng([seed, 1])
             )
-            runs.append(run(objective, space, config).best_y_curve()[-1])
+            runs.append(run(objective, space, config).records[-1].best_y)
         finals.append(runs)
     final_s, final_b = np.mean(finals, axis=0)
     elapsed = time.perf_counter() - tic

@@ -21,7 +21,8 @@ from mvrsm.driver import OptimizerConfig
 from mvrsm.errors import NonFiniteError
 from mvrsm.objectives import make_benchmark
 from mvrsm.space import MixedPoint, SearchSpace, VariableSpec
-from mvrsm.surrogate import ReluSurrogate, build_surrogate
+from mvrsm.surrogate import build_surrogate
+from handbuilt import dense_weights, from_weights, scalar_model
 
 
 def golden_section(f, lo, hi, tol=1e-10):
@@ -43,12 +44,6 @@ def line_space(lo=0.0, up=3.0):
     return SearchSpace((VariableSpec("integer", lo, up),))
 
 
-def scalar_model(units, coeffs):
-    """1-D model from (weight, bias) pairs."""
-    weights, biases = zip(*units)
-    return ReluSurrogate.from_weights(np.array(weights, float)[:, None], biases, coeffs)
-
-
 def start(space, *coords):
     return space.unflatten(np.array(coords, dtype=float))
 
@@ -66,7 +61,7 @@ def test_zero_model_returns_start_without_iterating():
     res = minimize(model, space, start(space, 2.5))
     assert res.point.xd[0] == 2.5
     assert res.iterations == 0
-    assert res.value == 0.0
+    assert model.value(res.point.flatten()) == 0.0
 
 
 def test_single_relu_descends_to_its_flat_region():
@@ -74,8 +69,9 @@ def test_single_relu_descends_to_its_flat_region():
     space = line_space()
     model = scalar_model([(1, -1)], [1.0])
     res = minimize(model, space, start(space, 2.5))
-    assert res.value <= model.value(np.array([2.5]))
-    assert res.value == 0.0
+    reached = model.value(res.point.flatten())
+    assert reached <= model.value(np.array([2.5]))
+    assert reached == 0.0
     assert res.point.xd[0] <= 1.0 + 1e-9
 
 
@@ -103,7 +99,7 @@ def test_never_increases_value_on_random_models():
         model.coeffs[:] = rng.uniform(-1, 1, model.n_units)
         p = space.uniform_sample(rng)
         res = minimize(model, space, p)
-        assert res.value <= model.value(p.flatten()) + 1e-12
+        assert model.value(res.point.flatten()) <= model.value(p.flatten()) + 1e-12
         assert space.contains(res.point)
         assert res.iterations <= 20
 
@@ -113,7 +109,7 @@ def test_out_of_box_start_is_clipped_first():
     model = scalar_model([(1, -1)], [1.0])
     res = minimize(model, space, start(space, 50.0))
     assert res.point.xd[0] <= 3.0
-    assert res.value == 0.0
+    assert model.value(res.point.flatten()) == 0.0
 
 
 def test_iteration_budget_respected():
@@ -132,7 +128,7 @@ def test_escapes_kink_point_where_averaged_gradient_misleads():
     space = SearchSpace(
         (VariableSpec("integer", 0, 2), VariableSpec("integer", 0, 2))
     )
-    model = ReluSurrogate.from_weights(
+    model = from_weights(
         np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]]),
         np.array([-1.0, 1.0, 1.0]),
         np.array([5.0, 6.0, 0.5]),
@@ -144,7 +140,7 @@ def test_escapes_kink_point_where_averaged_gradient_misleads():
     # but the exact slope along that walk is uphill
     assert model.directional_derivative(x0, -g) > 0.0
     res = minimize(model, space, space.unflatten(x0))
-    assert res.value == 0.0
+    assert model.value(res.point.flatten()) == 0.0
     assert res.point.xd[1] >= 1.0  # escaped by moving the second coordinate
 
 
@@ -170,7 +166,7 @@ def test_descends_from_integral_points_of_built_surrogates():
         )
         res = minimize(model, space, p)
         if movable.size and movable.min() < -1e-9:
-            if not res.value < model.value(p.flatten()):
+            if not model.value(res.point.flatten()) < model.value(p.flatten()):
                 stuck += 1
     assert stuck == 0
 
@@ -188,7 +184,7 @@ class CountingProducts(np.ndarray):
         return super().__matmul__(other)
 
 
-def test_descent_forms_each_points_preactivations_once(monkeypatch):
+def test_descent_forms_each_points_preactivations_once():
     space, objective = make_benchmark("ackley53", rng=np.random.default_rng([0, 1]))
     rng = np.random.default_rng(0)
     model = build_surrogate(space, rng)
@@ -197,16 +193,10 @@ def test_descent_forms_each_points_preactivations_once(monkeypatch):
         model.rls.update(model.features(p.flatten()), objective(p))
     best = min(samples, key=lambda p: model.value(p.flatten()))
 
-    # every product is formed on the distinct unit rows; the dense weights
-    # are never even formed
+    # every product is formed on the distinct unit rows
     rows = model.rows.view(CountingProducts)
     rows.log = []
     model.rows = rows
-    dense_reads = []
-    dense = ReluSurrogate.weights.fget
-    monkeypatch.setattr(
-        ReluSurrogate, "weights", property(lambda m: dense_reads.append(m) or dense(m))
-    )
     evaluated = set()
     calls = []
     for name in ("features", "value", "gradient", "directional_derivative", "axis_derivatives"):
@@ -233,9 +223,6 @@ def test_descent_forms_each_points_preactivations_once(monkeypatch):
     assert len(at_points) == len(evaluated) and set(at_points) == evaluated
     assert len(rows.log) == len(evaluated) + directional
     assert calls.count("gradient") > 0
-    # this descent needs no axis moves; they are formed on the rows too
-    model.axis_derivatives(best.flatten())
-    assert dense_reads == []
 
 
 def reference_line_search(model, x, f, direction, alpha, lower, upper, step_tol):
@@ -275,7 +262,7 @@ def test_line_search_matches_the_rule_that_forms_every_slope(
     weights = rng.choice([-1.0, -0.5, 0.0, 0.3, 0.5, 1.0], size=(units, dim))
     biases = rng.integers(-2, 3, size=units).astype(float)
     coeffs = rng.uniform(-1.0, 1.0, units)
-    model = ReluSurrogate.from_weights(
+    model = from_weights(
         np.vstack([np.zeros(dim), weights]),
         np.concatenate([[1.0], biases]),
         np.concatenate([[level], coeffs]),
@@ -373,7 +360,7 @@ def reference_first_uphill_kink(model, x, i, sign, slope, room):
     first t past whose last unit ``slope`` plus the sum so far is >= 0.
     """
     z = model._preactivation(x)
-    weights = model.weights
+    weights = dense_weights(model)
     kinks = []
     for k in range(model.n_units):
         rate = sign * weights[k, i]
@@ -413,7 +400,7 @@ def assert_descent_matches_reference(model, space, start, kink_steps=None):
     res = minimize(model, space, start)
     x, f, iterations = reference_minimize(model, space, start, kink_steps)
     assert res.point.flatten().tobytes() == x.tobytes()
-    assert (res.value, res.iterations) == (f, iterations)
+    assert (model.value(res.point.flatten()), res.iterations) == (f, iterations)
     return res
 
 
@@ -438,7 +425,7 @@ def test_descent_matches_the_reference_loop_bit_for_bit(seed, dim, units, starts
     )
     weights = rng.choice([-1.0, -0.5, 0.0, 0.3, 0.5, 1.0], size=(units, dim))
     biases = rng.integers(-2, 3, size=units).astype(float)
-    model = ReluSurrogate.from_weights(
+    model = from_weights(
         np.vstack([np.zeros(dim), weights]),
         np.concatenate([[1.0], biases]),
         np.concatenate([[rng.uniform(-1.0, 1.0)], rng.uniform(-1.0, 1.0, units)]),
@@ -487,4 +474,3 @@ def test_result_type_fields():
     res = minimize(model, space, start(space, 2.0))
     assert isinstance(res, BoxMinResult)
     assert isinstance(res.point, MixedPoint)
-    assert res.value == model.value(res.point.flatten())

@@ -22,6 +22,7 @@ from mvrsm.errors import ConfigError, MalformedTraceError, MvrsmError, NonFinite
 from mvrsm.rls import RecursiveLeastSquares
 from mvrsm.objectives import BENCHMARKS, NoisyObjective, make_benchmark, make_objective
 from mvrsm.space import SearchSpace, VariableSpec
+from handbuilt import trace_array
 
 
 def write_config(tmp_path, raw):
@@ -251,6 +252,18 @@ def test_readme_configs_load(tmp_path, block):
     assert isinstance(load_config(path), ExperimentConfig)
 
 
+def test_readme_python_blocks_run(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.DOTALL)
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:  # in order, each building on the ones before it
+        exec(compile(block, str(README), "exec"), namespace)
+    assert capsys.readouterr().out
+    # the README's claim: the ask/tell session's trace is identical to run_mvrsm's
+    session, trace = namespace["session"], namespace["trace"]
+    assert trace_array(session.trace, "y").tobytes() == trace_array(trace, "y").tobytes()
+
+
 def custom_config(key=None, value=None):
     """A valid custom-problem config, with ``value`` put under ``key`` if given."""
     raw = {
@@ -374,7 +387,7 @@ def test_boxmin_max_iters_is_the_runs_descent_cap(tmp_path):
             "rosenbrock10", rng=np.random.default_rng([0, cli.NOISE_STREAM_TAG])
         )
         trace = run_mvrsm(objective, space, OptimizerConfig(budget=26, **config))
-        return trace.y_values(), np.array([r.point.flatten() for r in trace.records])
+        return trace_array(trace, "y"), np.array([r.point.flatten() for r in trace.records])
 
     y, points = library_run(max_iters=1)
     np.testing.assert_array_equal(written["y"], y)
@@ -392,7 +405,7 @@ def test_every_benchmark_runs_the_same_through_the_cli_as_the_library(tmp_path, 
     written = read_trace_csv(path)
     space, objective = make_benchmark(name, rng=np.random.default_rng([0, cli.NOISE_STREAM_TAG]))
     trace = run_random_search(objective, space, OptimizerConfig(3, 1, 0))
-    np.testing.assert_array_equal(written["y"], trace.y_values())
+    np.testing.assert_array_equal(written["y"], trace_array(trace, "y"))
     np.testing.assert_array_equal(
         written["coords"], np.array([r.point.flatten() for r in trace.records])
     )

@@ -18,11 +18,13 @@ from mvrsm.driver import (
 )
 from mvrsm.errors import (
     InvalidSettingError,
+    MalformedTraceError,
     NonFiniteError,
     ObjectiveFailureError,
     ProtocolViolationError,
 )
 from mvrsm.space import MixedPoint, SearchSpace, VariableSpec
+from handbuilt import trace_array
 
 
 def small_space():
@@ -78,7 +80,7 @@ def test_config_accepts_numpy_integers():
     )
     trace = run_mvrsm(quadratic, small_space(), config)
     expected = run_mvrsm(quadratic, small_space(), OptimizerConfig(26, 24, 3, 2))
-    np.testing.assert_array_equal(trace.y_values(), expected.y_values())
+    np.testing.assert_array_equal(trace_array(trace, "y"), trace_array(expected, "y"))
 
 
 def test_the_cap_reaches_every_descent(monkeypatch):
@@ -103,8 +105,8 @@ def test_budget_equal_to_init_is_pure_random_phase():
     cfg = OptimizerConfig(budget=24, init_samples=24, rng_seed=1)
     trace = run_mvrsm(quadratic, space, cfg)
     assert len(trace) == 24
-    ys = trace.y_values()
-    np.testing.assert_array_equal(trace.best_y_curve(), np.minimum.accumulate(ys))
+    ys = trace_array(trace, "y")
+    np.testing.assert_array_equal(trace_array(trace, "best_y"), np.minimum.accumulate(ys))
     # the init draws match plain uniform sampling from the same stream,
     # after the seed is also spent building the surrogate
     rng = np.random.default_rng(1)
@@ -129,7 +131,7 @@ def test_all_evaluated_points_feasible():
 def test_best_curve_non_increasing_and_indices_one_based():
     space = small_space()
     trace = run_mvrsm(quadratic, space, OptimizerConfig(budget=40, rng_seed=3))
-    curve = trace.best_y_curve()
+    curve = trace_array(trace, "best_y")
     assert np.all(np.diff(curve) <= 0)
     assert [r.index for r in trace.records] == list(range(1, 41))
     assert curve[-1] == min(r.y for r in trace.records)
@@ -140,8 +142,8 @@ def test_identical_seeds_reproduce_trace():
     cfg = OptimizerConfig(budget=50, rng_seed=7)
     a = run_mvrsm(quadratic, space, cfg)
     b = run_mvrsm(quadratic, space, cfg)
-    np.testing.assert_array_equal(a.y_values(), b.y_values())
-    np.testing.assert_array_equal(a.best_y_curve(), b.best_y_curve())
+    np.testing.assert_array_equal(trace_array(a, "y"), trace_array(b, "y"))
+    np.testing.assert_array_equal(trace_array(a, "best_y"), trace_array(b, "best_y"))
     for ra, rb in zip(a.records, b.records):
         np.testing.assert_array_equal(ra.point.flatten(), rb.point.flatten())
 
@@ -182,7 +184,7 @@ def test_tell_rejects_a_point_other_than_the_pending_one(session_class):
         opt.tell(MixedPoint(point.xc.copy(), point.xd.copy()), quadratic(point))
     # the rejected tells left the run exactly as an undisturbed one
     reference = session_class(space, cfg).run(quadratic)
-    np.testing.assert_array_equal(opt.trace.y_values(), reference.y_values())
+    np.testing.assert_array_equal(trace_array(opt.trace, "y"), trace_array(reference, "y"))
     for ra, rb in zip(opt.trace.records, reference.records):
         np.testing.assert_array_equal(ra.point.flatten(), rb.point.flatten())
 
@@ -206,8 +208,10 @@ def test_tell_rejects_a_non_finite_value(session_class):
     # best would show in best_y, a value fed to the fit in the coefficients
     reference = session_class(space, cfg)
     reference.run(quadratic)
-    np.testing.assert_array_equal(opt.trace.y_values(), reference.trace.y_values())
-    np.testing.assert_array_equal(opt.trace.best_y_curve(), reference.trace.best_y_curve())
+    np.testing.assert_array_equal(trace_array(opt.trace, "y"), trace_array(reference.trace, "y"))
+    np.testing.assert_array_equal(
+        trace_array(opt.trace, "best_y"), trace_array(reference.trace, "best_y")
+    )
     for ra, rb in zip(opt.trace.records, reference.trace.records):
         np.testing.assert_array_equal(ra.point.flatten(), rb.point.flatten())
     if session_class is MvrsmOptimizer:
@@ -222,7 +226,7 @@ def test_ask_tell_loop_matches_run_mvrsm():
         point = opt.ask()
         opt.tell(point, quadratic(point))
     reference = run_mvrsm(quadratic, space, cfg)
-    np.testing.assert_array_equal(opt.trace.y_values(), reference.y_values())
+    np.testing.assert_array_equal(trace_array(opt.trace, "y"), trace_array(reference, "y"))
     for ra, rb in zip(opt.trace.records, reference.records):
         np.testing.assert_array_equal(ra.point.flatten(), rb.point.flatten())
 
@@ -261,7 +265,7 @@ def test_step_seconds_excludes_objective_time():
     trace = run_mvrsm(slow, space, OptimizerConfig(budget=26, rng_seed=5))
     # every evaluation slept 50 ms; the recorded per-step cost must not
     # contain it
-    assert np.all(trace.step_seconds() < 0.04)
+    assert np.all(trace_array(trace, "step_seconds") < 0.04)
 
 
 def test_random_search_baseline_properties():
@@ -273,8 +277,8 @@ def test_random_search_baseline_properties():
     for record in a.records:
         assert space.contains(record.point)
         assert space.is_integral(record.point)
-    assert np.all(np.diff(a.best_y_curve()) <= 0)
-    np.testing.assert_array_equal(a.y_values(), b.y_values())
+    assert np.all(np.diff(trace_array(a, "best_y")) <= 0)
+    np.testing.assert_array_equal(trace_array(a, "y"), trace_array(b, "y"))
 
 
 def test_model_reproduces_observations_of_in_span_objective():
@@ -304,9 +308,9 @@ def test_csv_round_trip_is_exact(tmp_path):
     trace.write_csv(path)
     back = read_trace_csv(path)
     np.testing.assert_array_equal(back["iter"], np.arange(1, 31))
-    np.testing.assert_array_equal(back["y"], trace.y_values())
-    np.testing.assert_array_equal(back["best_y"], trace.best_y_curve())
-    np.testing.assert_array_equal(back["step_seconds"], trace.step_seconds())
+    np.testing.assert_array_equal(back["y"], trace_array(trace, "y"))
+    np.testing.assert_array_equal(back["best_y"], trace_array(trace, "best_y"))
+    np.testing.assert_array_equal(back["step_seconds"], trace_array(trace, "step_seconds"))
     coords = np.array([r.point.flatten() for r in trace.records])
     np.testing.assert_array_equal(back["coords"], coords)
 
@@ -340,7 +344,8 @@ def test_csv_columns_are_read_by_name(tmp_path):
     np.testing.assert_array_equal(
         expected["coords"], [r.point.flatten() for r in trace.records]
     )
-    # an extra column, placed among the coordinates, and shuffled columns
+    # an extra column, placed among the coordinates, and shuffled columns;
+    # the extra column is not read, so its non-finite cells are not checked
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     names = ["xd1", "step_seconds", "xc0", "fit_seconds", "iter", "xd0", "y", "xc1", "best_y"]
@@ -348,11 +353,33 @@ def test_csv_columns_are_read_by_name(tmp_path):
     with open(extra, "w", newline="") as fh:
         writer = csv.DictWriter(fh, names)
         writer.writeheader()
-        writer.writerows({**row, "fit_seconds": "7.5"} for row in rows)
+        writer.writerows({**row, "fit_seconds": "nan"} for row in rows)
     back = read_trace_csv(extra)
     assert set(back) == set(expected)
     for key in expected:
         np.testing.assert_array_equal(back[key], expected[key])
+
+
+@pytest.mark.parametrize(
+    "column, cell",
+    [
+        ("iter", "nan"), ("iter", "2.5"), ("iter", "1e300"),
+        ("y", "inf"), ("best_y", "-inf"), ("xd0", "nan"),
+    ],
+)
+def test_csv_with_a_non_finite_cell_or_a_non_int64_iter_rejected(tmp_path, column, cell):
+    # write_csv writes neither, so a trace holding one is not a trace
+    path = tmp_path / "trace.csv"
+    run_mvrsm(quadratic, small_space(), OptimizerConfig(budget=24, rng_seed=0)).write_csv(path)
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    rows[3][column] = cell
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    with pytest.raises(MalformedTraceError, match="non-finite cell or a non-int64 iter"):
+        read_trace_csv(path)
 
 
 def test_csv_without_a_named_column_rejected(tmp_path):

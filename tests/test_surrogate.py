@@ -21,6 +21,7 @@ from mvrsm.surrogate import (
     corner_points,
     sample_directions,
 )
+from handbuilt import dense_weights, from_weights, scalar_model
 from vertices import TooLargeError, enumerate_vertices
 
 
@@ -43,12 +44,6 @@ def dense_integer_units(space):
     """The constant and integer units as dense (weights, biases)."""
     rows, row_of, biases = _integer_block(space)
     return rows[row_of], biases
-
-
-def scalar_model(units, coeffs):
-    """1-D model from (weight, bias) pairs."""
-    weights, biases = zip(*units)
-    return ReluSurrogate.from_weights(np.array(weights, float)[:, None], biases, coeffs)
 
 
 # -- integer basis ----------------------------------------------------------
@@ -165,7 +160,7 @@ def test_mixed_unit_weights_come_from_the_direction_set():
     space = one_cont_two_int()
     dirs = sample_directions(space, np.random.default_rng(2))
     model = build_surrogate(space, np.random.default_rng(2))
-    for w in model.weights[23:]:
+    for w in dense_weights(model)[23:]:
         assert any(np.array_equal(w, d) for d in dirs)
 
 
@@ -334,11 +329,12 @@ def test_build_surrogate_counts_and_initial_coefficients():
     space = one_cont_two_int()
     model = build_surrogate(space, np.random.default_rng(0))
     assert model.n_units == 34
-    assert model.weights.shape == (34, 3) and model.biases.shape == (34,)
+    weights = dense_weights(model)
+    assert weights.shape == (34, 3) and model.biases.shape == (34,)
     # constant row, then 22 integer rows (zero continuous block), then 11 mixed
-    assert np.all(model.weights[0] == 0.0) and model.biases[0] == 1.0
-    assert np.all(model.weights[1:23, :1] == 0.0)
-    assert np.all(model.weights[23:, :1] != 0.0)
+    assert np.all(weights[0] == 0.0) and model.biases[0] == 1.0
+    assert np.all(weights[1:23, :1] == 0.0)
+    assert np.all(weights[23:, :1] != 0.0)
     assert np.all(model.coeffs[:23] == 1.0)
     assert np.all(model.coeffs[23:] == 0.0)
 
@@ -348,7 +344,7 @@ def test_build_surrogate_no_continuous_block():
     model = build_surrogate(space, np.random.default_rng(0))
     assert model.n_units == 23
     weights, biases = dense_integer_units(space)
-    assert np.array_equal(model.weights, weights)
+    assert np.array_equal(dense_weights(model), weights)
     assert np.array_equal(model.biases, biases)
 
 
@@ -421,7 +417,7 @@ def test_piecewise_linearity_within_a_region():
     space = one_cont_two_int()
     model = build_surrogate(space, np.random.default_rng(4))
     model.coeffs[:] = np.random.default_rng(5).uniform(-1, 1, model.n_units)
-    w, b = model.weights, model.biases
+    w, b = dense_weights(model), model.biases
     rng = np.random.default_rng(6)
     checked = 0
     while checked < 50:
@@ -466,7 +462,7 @@ def test_directional_derivative_predicts_small_steps():
     space = one_cont_two_int()
     model = build_surrogate(space, np.random.default_rng(12))
     model.coeffs[:] = np.random.default_rng(13).uniform(-1, 1, model.n_units)
-    w, b = model.weights, model.biases
+    w, b = dense_weights(model), model.biases
     rng = np.random.default_rng(14)
     for _ in range(30):
         x = space.uniform_sample(rng).flatten()  # integral: many units at kinks
@@ -507,7 +503,7 @@ def test_axis_derivatives_match_unit_vector_calls():
 def plane_model(units, coeffs):
     """2-D model from ((w0, w1), bias) pairs."""
     weights, biases = zip(*units)
-    return ReluSurrogate.from_weights(np.array(weights, float), biases, coeffs)
+    return from_weights(np.array(weights, float), biases, coeffs)
 
 
 # max(0, 2 - x0) with c = 1: slope -1 along +x0 from the origin until t = 2
@@ -593,7 +589,7 @@ def test_the_kink_step_ends_where_the_exact_slope_stops_falling(seed, dim, units
     rng = np.random.default_rng(seed)
     weights = rng.choice([-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0], size=(units, dim))
     biases = rng.integers(-8, 9, size=units) / 4.0
-    model = ReluSurrogate.from_weights(weights, biases, rng.integers(-8, 9, size=units) / 4.0)
+    model = from_weights(weights, biases, rng.integers(-8, 9, size=units) / 4.0)
     lower, upper = -2.0, 2.0
     x = rng.integers(-8, 9, size=dim) / 4.0
     i, sign = int(rng.integers(dim)), float(rng.choice([-1.0, 1.0]))
@@ -606,7 +602,8 @@ def test_the_kink_step_ends_where_the_exact_slope_stops_falling(seed, dim, units
     step = model.first_uphill_kink(x, i, sign, slope, room)
     assert 0.0 < step <= room
     # every kink strictly between 0 and the step, from the dense unit rows
-    z, rate = model.weights @ x + model.biases, model.weights @ e
+    weights = dense_weights(model)
+    z, rate = weights @ x + model.biases, weights @ e
     t = -z[rate != 0.0] / rate[rate != 0.0]
     points = np.unique(np.concatenate([[0.0, step], t[(t > 0.0) & (t < step)]]))
     for mid in (points[:-1] + points[1:]) / 2.0:
@@ -649,7 +646,7 @@ def test_remembered_preactivations_give_the_cold_results_bit_for_bit():
         if method == "update":
             model.rls.update(model.features(points[p]), 3.0)
             continue
-        cold = ReluSurrogate.from_weights(model.weights, model.biases, model.coeffs)
+        cold = from_weights(dense_weights(model), model.biases, model.coeffs)
         warm_out = call(model, method, points[p], direction)
         assert bits(warm_out) == bits(call(cold, method, points[p], direction)), (method, p)
 
@@ -672,11 +669,11 @@ def forward_product_mismatches(seed: int) -> list:
     for name in ("rosenbrock10", "ackley53", "rosenbrock238"):
         space, _ = make_benchmark(name)
         models.append((name, space, build_surrogate(space, rng)))
-    space, model = models[0][1], models[0][2]
-    mixed = np.flatnonzero(np.any(model.weights[:, : space.n_continuous] != 0.0, axis=1))
-    units = np.concatenate([rng.integers(model.n_units, size=100), rng.choice(mixed, 3)])
-    hand_built = ReluSurrogate.from_weights(
-        model.weights[units], rng.uniform(-1.0, 1.0, len(units)), np.ones(len(units))
+    space, weights = models[0][1], dense_weights(models[0][2])
+    mixed = np.flatnonzero(np.any(weights[:, : space.n_continuous] != 0.0, axis=1))
+    units = np.concatenate([rng.integers(len(weights), size=100), rng.choice(mixed, 3)])
+    hand_built = from_weights(
+        weights[units], rng.uniform(-1.0, 1.0, len(units)), np.ones(len(units))
     )
     models.append(("hand-built", space, hand_built))
 
@@ -689,23 +686,24 @@ def forward_product_mismatches(seed: int) -> list:
             compared += len(expected)
             differing += int(np.sum(got.view(np.uint64) != expected.view(np.uint64)))
 
-        is_mixed = np.any(model.weights[:, : space.n_continuous] != 0.0, axis=1)
+        weights = dense_weights(model)
+        is_mixed = np.any(weights[:, : space.n_continuous] != 0.0, axis=1)
         biases = model.biases
         for _ in range(8):
             integral = space.uniform_sample(rng).flatten()
             for x in (rng.uniform(space.lower, space.upper), integral):
                 model.biases = biases
-                check(model._preactivation(x), model.weights @ x + model.biases)
+                check(model._preactivation(x), weights @ x + model.biases)
             kinked = is_mixed & (rng.random(model.n_units) < 0.5)
-            model.biases = np.where(kinked, -(model.weights @ integral), biases)
+            model.biases = np.where(kinked, -(weights @ integral), biases)
             z = model._preactivation(integral)
             assert np.all(z[kinked] == 0.0)
-            check(z, model.weights @ integral + model.biases)
+            check(z, weights @ integral + model.biases)
             axis = np.zeros(space.dim)
             axis[rng.integers(space.dim)] = rng.choice([-1.0, 1.0])
             step = np.clip(integral + rng.normal(size=space.dim), space.lower, space.upper)
             for d in (rng.normal(size=space.dim), axis, step - integral):
-                check(model._forward(d), model.weights @ d)
+                check(model._forward(d), weights @ d)
         report.append([name, compared, differing])
     return report
 
@@ -726,13 +724,12 @@ def test_distinct_rows_reproduce_the_unit_rows():
     # on their own rows after whole 4-row groups
     space, _ = make_benchmark("ackley53")
     built = build_surrogate(space, np.random.default_rng(0))
-    hand_built = ReluSurrogate.from_weights(
-        built.weights[:-2], built.biases[:-2], built.coeffs[:-2]
-    )
-    for model in (built, hand_built):
+    dense = dense_weights(built)
+    hand_built = from_weights(dense[:-2], built.biases[:-2], built.coeffs[:-2])
+    for model, weights in ((built, dense), (hand_built, dense[:-2])):
         rows, row_of = model.rows, model.row_of
         assert rows.flags.c_contiguous
-        assert rows[row_of].tobytes() == model.weights.tobytes()
+        assert rows[row_of].tobytes() == weights.tobytes()
         m, tail = model.n_units, model.n_units % 4
         assert len(rows) % 4 == tail
         assert row_of[m - tail :].tolist() == list(range(len(rows) - tail, len(rows)))
@@ -747,7 +744,7 @@ def test_built_layout_is_the_generic_layout_of_its_weights():
     for name in ("rosenbrock10", "ackley53", "rosenbrock238"):
         space, _ = make_benchmark(name)
         model = build_surrogate(space, np.random.default_rng(0))
-        hand_built = ReluSurrogate.from_weights(model.weights, model.biases, model.coeffs)
+        hand_built = from_weights(dense_weights(model), model.biases, model.coeffs)
         assert model.rows.tobytes() == hand_built.rows.tobytes(), name
         assert model.row_of.tobytes() == hand_built.row_of.tobytes(), name
 
@@ -780,13 +777,11 @@ def transpose_product_cases(seed: int):
         models.append((name, space, build_surrogate(space, rng)))
     space, model = models[0][1], models[0][2]
     units = rng.integers(model.n_units, size=103)
-    hand_built = ReluSurrogate.from_weights(
-        model.weights[units], model.biases[units], np.ones(len(units))
-    )
+    hand_built = from_weights(dense_weights(model)[units], model.biases[units], np.ones(len(units)))
     models.append(("hand-built", space, hand_built))
     for name, space, model in models:
         model.coeffs[:] = rng.uniform(-1.0, 1.0, model.n_units)
-        is_mixed = np.any(model.weights[:, : space.n_continuous] != 0.0, axis=1)
+        is_mixed = np.any(dense_weights(model)[:, : space.n_continuous] != 0.0, axis=1)
         for _ in range(4):
             integral = space.uniform_sample(rng).flatten()
             yield name, model, rng.uniform(space.lower, space.upper)
@@ -801,7 +796,7 @@ def transpose_product_cases(seed: int):
 def dense_transpose_products(model, x):
     """The gradient and axis derivatives from products with the dense weights,
     at the model's own pre-activations."""
-    w = model.weights
+    w = dense_weights(model)
     z = model._preactivation(x)
     slope = np.where(z > 0.0, 1.0, np.where(z < 0.0, 0.0, 0.5))
     base = w.T @ (model.coeffs * (z > 0.0))
@@ -816,7 +811,7 @@ def test_transpose_products_match_the_dense_products():
     # sum's rounding; the worst case measured is 9.9e-16 of it (rosenbrock238)
     points_at_kinks = {}
     for name, model, x in transpose_product_cases(0):
-        scale = np.abs(model.weights).T @ np.abs(model.coeffs)
+        scale = np.abs(dense_weights(model)).T @ np.abs(model.coeffs)
         got = (model.gradient(x), *model.axis_derivatives(x))
         expected = dense_transpose_products(model, x)
         for part, g, e in zip(("gradient", "up", "down"), got, expected):
@@ -831,7 +826,7 @@ def test_axis_derivatives_match_directional_derivatives_at_benchmark_size():
     # relative to |weights|^T |coeffs| as above; the worst case measured is 1.7e-16
     cases = [(model, x) for name, model, x in transpose_product_cases(1) if name == "ackley53"]
     for model, x in cases:
-        scale = np.abs(model.weights).T @ np.abs(model.coeffs)
+        scale = np.abs(dense_weights(model)).T @ np.abs(model.coeffs)
         up, down = model.axis_derivatives(x)
         for i in range(model.dim):
             e = np.zeros(model.dim)
@@ -842,11 +837,9 @@ def test_axis_derivatives_match_directional_derivatives_at_benchmark_size():
 
 def test_unit_rows_are_read_only():
     model = build_surrogate(one_cont_two_int(), np.random.default_rng(0))
-    for name in ("rows", "row_of", "biases", "weights"):
+    for name in ("rows", "row_of", "biases"):
         with pytest.raises(ValueError):
             getattr(model, name)[1] = 0
-    with pytest.raises(AttributeError):
-        model.weights = model.weights * 2.0
 
 
 @pytest.mark.parametrize("attribute", ["rows", "biases"])
@@ -859,7 +852,7 @@ def test_reassigned_unit_rows_are_used_at_once(attribute):
     setattr(model, attribute, getattr(model, attribute) * 2.0)
     after = model.features(x)
     assert not np.array_equal(after, before)
-    assert np.array_equal(after, np.maximum(model.weights @ x + model.biases, 0.0))
+    assert np.array_equal(after, np.maximum(dense_weights(model) @ x + model.biases, 0.0))
     assert not getattr(model, attribute).flags.writeable
     # every product, the kink terms of axis_derivatives included, follows the
     # new rows as in a model built from them
@@ -877,7 +870,7 @@ def test_vertex_pinned_by_integer_unit():
     space = SearchSpace(
         (VariableSpec("continuous", -5, 5), VariableSpec("integer", -5, 5))
     )
-    model = ReluSurrogate.from_weights(
+    model = from_weights(
         np.array([[0.0, 1.0], [0.3, 0.2]]), np.array([-1.0, -0.5]), np.array([1.0, 1.0])
     )
     vertices = enumerate_vertices(model, space)
@@ -893,7 +886,7 @@ def test_dependent_subsets_are_skipped():
         (VariableSpec("continuous", -5, 5), VariableSpec("integer", -5, 5))
     )
     w = np.array([0.3, 0.2])
-    model = ReluSurrogate.from_weights(
+    model = from_weights(
         np.array([w, w]), np.array([-0.5, 0.7]), np.array([1.0, 1.0])
     )
     assert enumerate_vertices(model, space) == []
@@ -901,7 +894,7 @@ def test_dependent_subsets_are_skipped():
 
 def test_out_of_bounds_vertices_are_flagged():
     space = int_space((0, 3), (0, 3))
-    model = ReluSurrogate.from_weights(np.eye(2), np.array([-5.0, -2.0]), np.array([1.0, 1.0]))
+    model = from_weights(np.eye(2), np.array([-5.0, -2.0]), np.array([1.0, 1.0]))
     vertices = enumerate_vertices(model, space)
     assert len(vertices) == 1
     assert vertices[0].point.xd.tolist() == [5.0, 2.0]
@@ -913,7 +906,7 @@ def test_enumeration_rejects_mixed_rows_spanning_too_many_dimensions():
     space = SearchSpace(
         (VariableSpec("continuous", -5, 5), VariableSpec("integer", -5, 5))
     )
-    model = ReluSurrogate.from_weights(
+    model = from_weights(
         np.array([[0.3, 0.2], [0.1, -0.4]]), np.array([-0.5, 0.7]), np.array([1.0, 1.0])
     )
     with pytest.raises(DimensionMismatchError, match="span 2 dimensions"):

@@ -17,6 +17,7 @@ import numpy as np
 from mvrsm.errors import DimensionMismatchError, MvrsmError
 from mvrsm.space import MixedPoint, SearchSpace
 from mvrsm.surrogate import ReluSurrogate
+from handbuilt import dense_weights
 
 
 class TooLargeError(MvrsmError, ValueError):
@@ -54,7 +55,7 @@ def enumerate_vertices(
         return []
 
     nc, nd = space.n_continuous, space.n_integer
-    weights, biases = model.weights, model.biases
+    weights, biases = dense_weights(model), model.biases
     # a unit's kind is read off its row: 0 constant (all-zero row), 1 integer
     # (zero continuous block), 2 mixed (anything else)
     kinds = np.where(np.any(weights != 0.0, axis=1), 1, 0)
