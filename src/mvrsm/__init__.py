@@ -9,15 +9,7 @@ exploration step.
 """
 
 from .boxmin import BoxMinResult, minimize
-from .driver import (
-    MvrsmOptimizer,
-    OptimizerConfig,
-    RandomSearch,
-    RunTrace,
-    TraceRecord,
-    run_mvrsm,
-    run_random_search,
-)
+from .driver import MvrsmOptimizer, OptimizerConfig, RandomSearch, RunTrace, TraceRecord
 from .errors import MvrsmError
 from .objectives import NoisyObjective, ackley, make_benchmark, rosenbrock
 from .space import MixedPoint, SearchSpace, VariableSpec
@@ -43,7 +35,5 @@ __all__ = [
     "make_benchmark",
     "minimize",
     "rosenbrock",
-    "run_mvrsm",
-    "run_random_search",
     "__version__",
 ]

@@ -42,8 +42,6 @@ __all__ = [
     "RunTrace",
     "RandomSearch",
     "MvrsmOptimizer",
-    "run_mvrsm",
-    "run_random_search",
     "read_trace_csv",
 ]
 
@@ -265,15 +263,3 @@ class MvrsmOptimizer(RandomSearch):
                 perturb_continuous(self.space, proposal.xc, self._rng),
                 perturb_integer(self.space, proposal.xd, self._rng),
             )
-
-
-def run_mvrsm(objective: Objective, space: SearchSpace, config: OptimizerConfig) -> RunTrace:
-    """Run the surrogate loop for ``config.budget`` evaluations."""
-    return MvrsmOptimizer(space, config).run(objective)
-
-
-def run_random_search(
-    objective: Objective, space: SearchSpace, config: OptimizerConfig
-) -> RunTrace:
-    """Baseline: ``config.budget`` independent uniform draws."""
-    return RandomSearch(space, config).run(objective)

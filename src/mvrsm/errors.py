@@ -45,8 +45,9 @@ class DimensionMismatchError(MvrsmError, ValueError):
 
 
 class NonFiniteError(MvrsmError, ValueError):
-    """A NaN or infinity reached ``tell`` or a numerical routine, or rounding left
-    a routine's state invalid."""
+    """A NaN or infinity reached ``tell`` or a numerical routine, a finite value would
+    overflow the fit's update, or rounding left a routine's state invalid. The fit
+    raises it before its state changes."""
 
 
 class ProtocolViolationError(MvrsmError, RuntimeError):

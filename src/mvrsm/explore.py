@@ -55,8 +55,6 @@ def perturb_integer(space: SearchSpace, xd: np.ndarray, rng: RandomStream) -> np
 def perturb_continuous(space: SearchSpace, xc: np.ndarray, rng: RandomStream) -> np.ndarray:
     """Add N(0, sigma_i^2) per coordinate, sigma_i = 0.1 range_i / sqrt(dim), then clip."""
     xc = np.asarray(xc, dtype=float)
-    if space.n_continuous == 0:
-        return xc.copy()
     lower, upper = space.continuous_lower, space.continuous_upper
     sigma = 0.1 * (upper - lower) / np.sqrt(space.dim)
     return np.clip(xc + rng.normal(0.0, sigma), lower, upper)

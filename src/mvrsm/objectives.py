@@ -45,12 +45,12 @@ def ackley(x, a: float = 20.0, b: float = 0.2, c: float = 2.0 * np.pi) -> float:
     )
 
 
-def rosenbrock(x, scale: float = 1.0) -> float:
-    """Scaled Rosenbrock function; 0 at the all-ones point."""
+def rosenbrock(x) -> float:
+    """Rosenbrock function; 0 at the all-ones point."""
     x = np.asarray(x, dtype=float)
     if x.size < 2:
         raise DimensionMismatchError(f"rosenbrock needs >= 2 coordinates, got {x.size}")
-    return float(scale * np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (x[:-1] - 1.0) ** 2))
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (x[:-1] - 1.0) ** 2))
 
 
 class NoisyObjective:

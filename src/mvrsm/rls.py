@@ -50,7 +50,8 @@ class RecursiveLeastSquares:
         self._dense_cov = None
 
     def update(self, phi, y: float) -> None:
-        """Fold one observation (features phi, response y) into the fit."""
+        """Fold one observation (features phi, response y) into the fit. Every check
+        comes before any state changes, so a rejected observation changes nothing."""
         phi = np.asarray(phi, dtype=float)
         if phi.shape != self.coeffs.shape:
             raise DimensionMismatchError(
@@ -75,11 +76,14 @@ class RecursiveLeastSquares:
                 f"{self.n_updates + 1}: 1 + phi^T P phi = {denom!r}, "
                 f"max |phi| = {np.abs(phi).max()!r}"
             )
+        gain = cov_phi / denom
+        coeffs = self.coeffs + gain * (y - phi @ self.coeffs)
+        u = cov_phi / np.sqrt(denom)
+        if not (np.all(np.isfinite(coeffs)) and np.all(np.isfinite(u))):
+            raise NonFiniteError("least squares update would make the fit non-finite")
         if fold:
             self._dense_cov, self._downdates = dense_cov, None
-        gain = cov_phi / denom
-        self.coeffs += gain * (y - phi @ self.coeffs)
-        u = cov_phi / np.sqrt(denom)
+        self.coeffs[:] = coeffs
         if self._dense_cov is None:
             self._append_downdate(u)
         else:
@@ -87,8 +91,6 @@ class RecursiveLeastSquares:
             for i in range(0, len(u), _BLOCK_ROWS):
                 self._dense_cov[i : i + _BLOCK_ROWS] -= np.outer(u[i : i + _BLOCK_ROWS], u)
         self.n_updates += 1
-        if not np.all(np.isfinite(self.coeffs)):
-            raise NonFiniteError("least squares state became non-finite")
 
     def _append_downdate(self, u: np.ndarray) -> None:
         capacity = len(self._downdates)

@@ -192,7 +192,7 @@ class SearchSpace:
         xd = rng.integers(
             self.integer_lower.astype(int), self.integer_upper.astype(int) + 1
         ).astype(float)
-        return MixedPoint(np.atleast_1d(xc), np.atleast_1d(xd))
+        return MixedPoint(xc, xd)
 
     def unflatten(self, vec: np.ndarray) -> MixedPoint:
         vec = np.asarray(vec, dtype=float)

@@ -11,12 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from mvrsm.driver import (
-    MvrsmOptimizer,
-    OptimizerConfig,
-    run_mvrsm,
-    run_random_search,
-)
+from mvrsm.driver import MvrsmOptimizer, OptimizerConfig, RandomSearch
 from mvrsm.explore import perturb_continuous, perturb_integer
 from mvrsm.objectives import make_benchmark
 from mvrsm.rls import RecursiveLeastSquares
@@ -44,9 +39,9 @@ def benchmark_curves(name, budget, seeds):
     for seed in seeds:
         config = OptimizerConfig(budget=budget, init_samples=24, rng_seed=seed)
         space, objective = make_benchmark(name, rng=np.random.default_rng([seed, 1]))
-        surrogate_runs.append(trace_array(run_mvrsm(objective, space, config), "best_y"))
+        surrogate_runs.append(trace_array(MvrsmOptimizer(space, config).run(objective), "best_y"))
         space, objective = make_benchmark(name, rng=np.random.default_rng([seed, 1]))
-        baseline_runs.append(trace_array(run_random_search(objective, space, config), "best_y"))
+        baseline_runs.append(trace_array(RandomSearch(space, config).run(objective), "best_y"))
     return np.stack(surrogate_runs), np.stack(baseline_runs)
 
 
@@ -235,7 +230,7 @@ def test_08_per_iteration_cost_stays_flat():
     for _ in range(2):
         tic = time.perf_counter()
         space, objective = make_benchmark("rosenbrock10", rng=np.random.default_rng([0, 1]))
-        runs.append(run_mvrsm(objective, space, config))
+        runs.append(MvrsmOptimizer(space, config).run(objective))
         elapsed.append(time.perf_counter() - tic)
     a, b = runs
     np.testing.assert_array_equal(trace_array(a, "y"), trace_array(b, "y"))
@@ -263,7 +258,7 @@ def test_09_runs_are_bit_exact_under_a_fixed_seed():
         space, objective = make_benchmark(
             "rosenbrock10", rng=np.random.default_rng([3, 1])
         )
-        traces.append(run_mvrsm(objective, space, config))
+        traces.append(MvrsmOptimizer(space, config).run(objective))
     a, b = traces
     assert np.array_equal(trace_array(a, "y"), trace_array(b, "y"))
     assert np.array_equal(trace_array(a, "best_y"), trace_array(b, "best_y"))
@@ -278,7 +273,7 @@ def test_10_ask_tell_session_reproduces_the_run_loop():
     tic = time.perf_counter()
     config = OptimizerConfig(budget=50, init_samples=24, rng_seed=0)
     space, objective = make_benchmark("rosenbrock10", rng=np.random.default_rng([0, 1]))
-    reference = run_mvrsm(objective, space, config)
+    reference = MvrsmOptimizer(space, config).run(objective)
 
     space, objective = make_benchmark("rosenbrock10", rng=np.random.default_rng([0, 1]))
     session = MvrsmOptimizer(space, config)
@@ -303,11 +298,11 @@ def test_11_beats_random_search_on_rosenbrock238():
     for seed in (0, 1):
         config = OptimizerConfig(budget=100, init_samples=24, rng_seed=seed)
         runs = []
-        for run in (run_mvrsm, run_random_search):
+        for session in (MvrsmOptimizer, RandomSearch):
             space, objective = make_benchmark(
                 "rosenbrock238", rng=np.random.default_rng([seed, 1])
             )
-            runs.append(run(objective, space, config).records[-1].best_y)
+            runs.append(session(space, config).run(objective).records[-1].best_y)
         finals.append(runs)
     final_s, final_b = np.mean(finals, axis=0)
     elapsed = time.perf_counter() - tic

@@ -17,7 +17,7 @@ from mvrsm.cli import (
     run_experiment,
     summarize_directory,
 )
-from mvrsm.driver import OptimizerConfig, read_trace_csv, run_mvrsm, run_random_search
+from mvrsm.driver import MvrsmOptimizer, OptimizerConfig, RandomSearch, read_trace_csv
 from mvrsm.errors import ConfigError, MalformedTraceError, MvrsmError, NonFiniteError
 from mvrsm.rls import RecursiveLeastSquares
 from mvrsm.objectives import BENCHMARKS, NoisyObjective, make_benchmark, make_objective
@@ -259,7 +259,7 @@ def test_readme_python_blocks_run(capsys):
     for block in blocks:  # in order, each building on the ones before it
         exec(compile(block, str(README), "exec"), namespace)
     assert capsys.readouterr().out
-    # the README's claim: the ask/tell session's trace is identical to run_mvrsm's
+    # the README's claim: the ask/tell session's trace is identical to run's
     session, trace = namespace["session"], namespace["trace"]
     assert trace_array(session.trace, "y").tobytes() == trace_array(trace, "y").tobytes()
 
@@ -386,7 +386,7 @@ def test_boxmin_max_iters_is_the_runs_descent_cap(tmp_path):
         space, objective = make_benchmark(
             "rosenbrock10", rng=np.random.default_rng([0, cli.NOISE_STREAM_TAG])
         )
-        trace = run_mvrsm(objective, space, OptimizerConfig(budget=26, **config))
+        trace = MvrsmOptimizer(space, OptimizerConfig(budget=26, **config)).run(objective)
         return trace_array(trace, "y"), np.array([r.point.flatten() for r in trace.records])
 
     y, points = library_run(max_iters=1)
@@ -404,7 +404,7 @@ def test_every_benchmark_runs_the_same_through_the_cli_as_the_library(tmp_path, 
     (path,) = run_experiment(load_config(write_config(tmp_path, raw)))["traces"]
     written = read_trace_csv(path)
     space, objective = make_benchmark(name, rng=np.random.default_rng([0, cli.NOISE_STREAM_TAG]))
-    trace = run_random_search(objective, space, OptimizerConfig(3, 1, 0))
+    trace = RandomSearch(space, OptimizerConfig(3, 1, 0)).run(objective)
     np.testing.assert_array_equal(written["y"], trace_array(trace, "y"))
     np.testing.assert_array_equal(
         written["coords"], np.array([r.point.flatten() for r in trace.records])

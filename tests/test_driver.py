@@ -13,8 +13,6 @@ from mvrsm.driver import (
     RandomSearch,
     RunTrace,
     read_trace_csv,
-    run_mvrsm,
-    run_random_search,
 )
 from mvrsm.errors import (
     InvalidSettingError,
@@ -78,8 +76,8 @@ def test_config_accepts_numpy_integers():
     config = OptimizerConfig(
         budget=np.int64(26), init_samples=np.int32(24), rng_seed=np.uint8(3), max_iters=np.int64(2)
     )
-    trace = run_mvrsm(quadratic, small_space(), config)
-    expected = run_mvrsm(quadratic, small_space(), OptimizerConfig(26, 24, 3, 2))
+    trace = MvrsmOptimizer(small_space(), config).run(quadratic)
+    expected = MvrsmOptimizer(small_space(), OptimizerConfig(26, 24, 3, 2)).run(quadratic)
     np.testing.assert_array_equal(trace_array(trace, "y"), trace_array(expected, "y"))
 
 
@@ -93,17 +91,18 @@ def test_the_cap_reaches_every_descent(monkeypatch):
         return result
 
     monkeypatch.setattr(driver, "minimize", recording)
-    run_mvrsm(quadratic, small_space(), OptimizerConfig(budget=40, rng_seed=1))
+    MvrsmOptimizer(small_space(), OptimizerConfig(budget=40, rng_seed=1)).run(quadratic)
     assert len(descents) == 40 - 24 and max(descents) > 1
     descents.clear()
-    run_mvrsm(quadratic, small_space(), OptimizerConfig(budget=40, rng_seed=1, max_iters=1))
+    capped = OptimizerConfig(budget=40, rng_seed=1, max_iters=1)
+    MvrsmOptimizer(small_space(), capped).run(quadratic)
     assert len(descents) == 40 - 24 and max(descents) == 1
 
 
 def test_budget_equal_to_init_is_pure_random_phase():
     space = small_space()
     cfg = OptimizerConfig(budget=24, init_samples=24, rng_seed=1)
-    trace = run_mvrsm(quadratic, space, cfg)
+    trace = MvrsmOptimizer(space, cfg).run(quadratic)
     assert len(trace) == 24
     ys = trace_array(trace, "y")
     np.testing.assert_array_equal(trace_array(trace, "best_y"), np.minimum.accumulate(ys))
@@ -121,7 +120,7 @@ def test_budget_equal_to_init_is_pure_random_phase():
 def test_all_evaluated_points_feasible():
     space = small_space()
     cfg = OptimizerConfig(budget=60, init_samples=24, rng_seed=2)
-    trace = run_mvrsm(quadratic, space, cfg)
+    trace = MvrsmOptimizer(space, cfg).run(quadratic)
     assert len(trace) == 60
     for record in trace.records:
         assert space.contains(record.point)
@@ -130,7 +129,7 @@ def test_all_evaluated_points_feasible():
 
 def test_best_curve_non_increasing_and_indices_one_based():
     space = small_space()
-    trace = run_mvrsm(quadratic, space, OptimizerConfig(budget=40, rng_seed=3))
+    trace = MvrsmOptimizer(space, OptimizerConfig(budget=40, rng_seed=3)).run(quadratic)
     curve = trace_array(trace, "best_y")
     assert np.all(np.diff(curve) <= 0)
     assert [r.index for r in trace.records] == list(range(1, 41))
@@ -140,8 +139,8 @@ def test_best_curve_non_increasing_and_indices_one_based():
 def test_identical_seeds_reproduce_trace():
     space = small_space()
     cfg = OptimizerConfig(budget=50, rng_seed=7)
-    a = run_mvrsm(quadratic, space, cfg)
-    b = run_mvrsm(quadratic, space, cfg)
+    a = MvrsmOptimizer(space, cfg).run(quadratic)
+    b = MvrsmOptimizer(space, cfg).run(quadratic)
     np.testing.assert_array_equal(trace_array(a, "y"), trace_array(b, "y"))
     np.testing.assert_array_equal(trace_array(a, "best_y"), trace_array(b, "best_y"))
     for ra, rb in zip(a.records, b.records):
@@ -218,14 +217,34 @@ def test_tell_rejects_a_non_finite_value(session_class):
         np.testing.assert_array_equal(opt.model.coeffs, reference.model.coeffs)
 
 
-def test_ask_tell_loop_matches_run_mvrsm():
+def test_a_tell_whose_fit_update_would_overflow_changes_nothing():
+    space = SearchSpace((VariableSpec("integer", 0, 4), VariableSpec("continuous", -1, 1)))
+    opt = MvrsmOptimizer(space, OptimizerConfig(budget=30, init_samples=5, rng_seed=0))
+    opt.tell(opt.ask(), -1.7e308)
+    fit = opt.model.rls
+    coeffs, n_updates = fit.coeffs.tobytes(), fit.n_updates
+    u_rows = fit._downdates[:n_updates].tobytes()
+    records = list(opt.trace.records)
+    point = opt.ask()
+    # the value is finite, but the residual it leaves overflows the coefficients
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError, match="least squares"):
+            opt.tell(point, 1.7e308)
+    assert fit.coeffs.tobytes() == coeffs and fit.n_updates == n_updates
+    assert fit._downdates[:n_updates].tobytes() == u_rows
+    assert opt.trace.records == records
+    with pytest.raises(ProtocolViolationError):
+        opt.ask()
+
+
+def test_ask_tell_loop_matches_run():
     space = small_space()
     cfg = OptimizerConfig(budget=30, rng_seed=9)
     opt = MvrsmOptimizer(space, cfg)
     for _ in range(cfg.budget):
         point = opt.ask()
         opt.tell(point, quadratic(point))
-    reference = run_mvrsm(quadratic, space, cfg)
+    reference = MvrsmOptimizer(space, cfg).run(quadratic)
     np.testing.assert_array_equal(trace_array(opt.trace, "y"), trace_array(reference, "y"))
     for ra, rb in zip(opt.trace.records, reference.records):
         np.testing.assert_array_equal(ra.point.flatten(), rb.point.flatten())
@@ -262,7 +281,7 @@ def test_step_seconds_excludes_objective_time():
         return quadratic(point)
 
     space = small_space()
-    trace = run_mvrsm(slow, space, OptimizerConfig(budget=26, rng_seed=5))
+    trace = MvrsmOptimizer(space, OptimizerConfig(budget=26, rng_seed=5)).run(slow)
     # every evaluation slept 50 ms; the recorded per-step cost must not
     # contain it
     assert np.all(trace_array(trace, "step_seconds") < 0.04)
@@ -271,8 +290,8 @@ def test_step_seconds_excludes_objective_time():
 def test_random_search_baseline_properties():
     space = small_space()
     cfg = OptimizerConfig(budget=50, rng_seed=8)
-    a = run_random_search(quadratic, space, cfg)
-    b = run_random_search(quadratic, space, cfg)
+    a = RandomSearch(space, cfg).run(quadratic)
+    b = RandomSearch(space, cfg).run(quadratic)
     assert len(a) == 50
     for record in a.records:
         assert space.contains(record.point)
@@ -303,7 +322,7 @@ def test_model_reproduces_observations_of_in_span_objective():
 
 def test_csv_round_trip_is_exact(tmp_path):
     space = small_space()
-    trace = run_mvrsm(quadratic, space, OptimizerConfig(budget=30, rng_seed=11))
+    trace = MvrsmOptimizer(space, OptimizerConfig(budget=30, rng_seed=11)).run(quadratic)
     path = tmp_path / "trace.csv"
     trace.write_csv(path)
     back = read_trace_csv(path)
@@ -317,7 +336,7 @@ def test_csv_round_trip_is_exact(tmp_path):
 
 def test_csv_header_layout(tmp_path):
     space = small_space()
-    trace = run_mvrsm(quadratic, space, OptimizerConfig(budget=24, rng_seed=0))
+    trace = MvrsmOptimizer(space, OptimizerConfig(budget=24, rng_seed=0)).run(quadratic)
     path = tmp_path / "trace.csv"
     trace.write_csv(path)
     header = path.read_text().splitlines()[0]
@@ -337,7 +356,7 @@ def test_malformed_csv_rejected(tmp_path):
 
 
 def test_csv_columns_are_read_by_name(tmp_path):
-    trace = run_mvrsm(quadratic, small_space(), OptimizerConfig(budget=26, rng_seed=3))
+    trace = MvrsmOptimizer(small_space(), OptimizerConfig(budget=26, rng_seed=3)).run(quadratic)
     path = tmp_path / "trace.csv"
     trace.write_csv(path)
     expected = read_trace_csv(path)
@@ -370,7 +389,8 @@ def test_csv_columns_are_read_by_name(tmp_path):
 def test_csv_with_a_non_finite_cell_or_a_non_int64_iter_rejected(tmp_path, column, cell):
     # write_csv writes neither, so a trace holding one is not a trace
     path = tmp_path / "trace.csv"
-    run_mvrsm(quadratic, small_space(), OptimizerConfig(budget=24, rng_seed=0)).write_csv(path)
+    trace = MvrsmOptimizer(small_space(), OptimizerConfig(budget=24, rng_seed=0)).run(quadratic)
+    trace.write_csv(path)
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     rows[3][column] = cell

@@ -52,10 +52,10 @@ def test_rosenbrock_hand_value():
 
 
 def test_rosenbrock_scaled_value_at_origin():
-    # 237 unit terms scaled down
-    assert rosenbrock(np.zeros(238), scale=1.0 / 50_000.0) == pytest.approx(
-        237.0 / 50_000.0, rel=1e-12
-    )
+    # 237 unit terms, scaled down by the benchmark's objective
+    _, obj = make_benchmark("rosenbrock238", noise_high=0.0)
+    at_zero = obj(MixedPoint(xc=np.zeros(119), xd=np.zeros(119)))
+    assert at_zero == pytest.approx(237.0 / 50_000.0, rel=1e-12)
 
 
 def test_rosenbrock_needs_two_coordinates():
@@ -207,7 +207,7 @@ def test_declared_order_feeds_raw_function():
     space, obj = make_benchmark("rosenbrock10", noise_high=0.0)
     xd = np.array([2.0, -1.0, 0.0])
     xc = np.linspace(-2.0, 2.0, 7)
-    expected = rosenbrock(np.concatenate([xd, xc]), scale=1.0 / 300.0)
+    expected = 1.0 / 300.0 * rosenbrock(np.concatenate([xd, xc]))
     assert obj(MixedPoint(xc=xc, xd=xd)) == expected
 
 
