@@ -84,7 +84,9 @@ class ReluSurrogate:
     The transpose products weights.T @ u of ``gradient`` and
     ``axis_derivatives`` sum u over the units of each row (a bincount, in
     unit order), then multiply by rows.T. That sums in another order than the
-    dense product, so its low bits differ from it.
+    dense product, so its low bits differ from it. The kink terms of
+    ``axis_derivatives`` need max(rows, 0) and max(-rows, 0); its first call
+    forms them (many sessions make none), and assigning ``rows`` forgets them.
     """
 
     rows: np.ndarray
@@ -100,11 +102,8 @@ class ReluSurrogate:
             # (coordinate bytes, z, reused) per point, in the order to forget them
             object.__setattr__(self, "_z_memo", [])
             if name == "rows":
-                # the rows' positive and negative parts, for the kink terms
-                # of axis_derivatives
-                down = np.negative(value)
-                object.__setattr__(self, "_rows_down", np.maximum(down, 0.0, out=down))
-                object.__setattr__(self, "_rows_up", np.maximum(value, 0.0))
+                # max(+-rows, 0), formed again at the next axis_derivatives call
+                object.__setattr__(self, "_kink_parts", None)
         object.__setattr__(self, name, value)
 
     def __post_init__(self):
@@ -208,9 +207,13 @@ class ReluSurrogate:
         a kink point.
         """
         z = self._preactivation(x)
+        if self._kink_parts is None:
+            down = np.negative(self.rows)
+            self._kink_parts = np.maximum(self.rows, 0.0), np.maximum(down, 0.0, out=down)
+        rows_up, rows_down = self._kink_parts
         base = self.rows.T @ self._per_row(self.coeffs * (z > 0.0))
         c_kink = self._per_row(np.where(z == 0.0, self.coeffs, 0.0))
-        return base + self._rows_up.T @ c_kink, -base + self._rows_down.T @ c_kink
+        return base + rows_up.T @ c_kink, -base + rows_down.T @ c_kink
 
     def first_uphill_kink(self, x, i: int, sign: float, slope: float, room: float) -> float:
         """Distance t along ``sign`` * e_i from ``x`` to the first kink past
@@ -242,14 +245,15 @@ class ReluSurrogate:
 # -- basis construction ------------------------------------------------------
 
 
-def _integer_block(space: SearchSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _integer_block(space: SearchSpace) -> tuple[np.ndarray, np.ndarray, int, tuple]:
     """The deterministic units, one constant unit then every integer unit, as
-    (distinct rows, row of each unit, biases).
+    (row of each unit, biases, number of distinct rows, their nonzero entries).
 
     Unit order is fixed: constant; single-variable units by variable, then
     threshold, then sign (+ before -); adjacent-pair units likewise. The rows
     are the constant unit's zero row, then a + and a - row for each integer
-    variable i (+-e_i) and each adjacent pair (+-(e_i - e_{i-1})).
+    variable i (+-e_i) and each adjacent pair (+-(e_i - e_{i-1})), given by
+    their nonzero entries as ((row index, column index), value) arrays.
     """
     nc, nd = space.n_continuous, space.n_integer
     lo = space.integer_lower.astype(int)
@@ -267,14 +271,13 @@ def _integer_block(space: SearchSpace) -> tuple[np.ndarray, np.ndarray, np.ndarr
     row_of = np.concatenate([[0], 1 + 2 * p + (sign < 0.0)])
     biases = np.concatenate([[1.0], -sign * thresh])
 
-    var = np.concatenate([np.arange(nd), np.arange(1, nd)])
+    var = nc + np.concatenate([np.arange(nd), np.arange(1, nd)])
+    plus = 1 + 2 * np.arange(len(var))
     diff = np.arange(nd, len(var))
-    rows = np.zeros((1 + 2 * len(var), space.dim))
-    for first, s in ((1, 1.0), (2, -1.0)):
-        k = first + 2 * np.arange(len(var))
-        rows[k, nc + var] = s
-        rows[k[diff], nc + var[diff] - 1] = -s
-    return rows, row_of, biases
+    at = np.concatenate([plus, plus[diff], plus + 1, plus[diff] + 1])
+    col = np.concatenate([var, var[diff] - 1, var, var[diff] - 1])
+    values = np.repeat([1.0, -1.0, -1.0, 1.0], [len(var), len(diff)] * 2)
+    return row_of, biases, 1 + 2 * len(var), ((at, col), values)
 
 
 def sample_directions(space: SearchSpace, rng: RandomStream) -> np.ndarray:
@@ -297,10 +300,12 @@ def corner_points(space: SearchSpace, weights: np.ndarray) -> tuple[np.ndarray, 
     weights = np.asarray(weights, dtype=float)
     if weights.ndim not in (1, 2) or weights.shape[-1] != space.dim:
         raise DimensionMismatchError(f"weights of shape {weights.shape}, space dim {space.dim}")
-    nonneg = weights >= 0.0
-    min_corner = np.where(nonneg, space.lower, space.upper)
-    max_corner = np.where(nonneg, space.upper, space.lower)
-    return min_corner, max_corner
+    # each entry is one bound's bytes, picked as upper ^ (lower ^ upper) or
+    # upper ^ 0 (a quarter of the time of a broadcast np.where)
+    lower, upper = space.lower.view(np.uint64), space.upper.view(np.uint64)
+    differ = lower ^ upper
+    min_corner = upper ^ (differ * (weights >= 0.0))
+    return min_corner.view(float), (min_corner ^ differ).view(float)
 
 
 def _raw_to_double(words: np.ndarray) -> np.ndarray:
@@ -404,39 +409,44 @@ def build_surrogate(space: SearchSpace, rng: RandomStream) -> ReluSurrogate:
     mixed unit; the pairs are replayed from its raw words, so its bit
     generator must buffer 32-bit draws (MT19937 does not, and raises
     ``InvalidSettingError``). A space with no continuous variable draws nothing.
+    The distinct rows, the integer block's and then the used directions, are
+    written once, into the one array of ``_grouped_rows``' layout.
     """
-    rows, row_of, biases = _integer_block(space)
+    row_of, biases, n_int_rows, integer_rows = _integer_block(space)
     n_int_units = len(biases) - 1
     directions = sample_directions(space, rng)
     n_mixed = math.ceil(space.n_continuous * n_int_units / space.n_integer)
     picks, mixed_biases = _draw_mixed_units(space, directions, n_mixed, rng)
     # the used directions in order of first use: the transpose products sum
     # the rows in this order, so the seeded traces' bits depend on it
-    order = list(dict.fromkeys(picks.tolist()))
+    units, first = np.arange(n_mixed), np.full(len(directions), n_mixed)
+    np.minimum.at(first, picks, units)
+    order = picks[first[picks] == units]
     rank = np.empty(len(directions), dtype=np.intp)
     rank[order] = np.arange(len(order))
-    row_of = np.concatenate([row_of, len(rows) + rank[picks]])
-    rows = np.concatenate([rows, directions[order]])
+    row_of = np.concatenate([row_of, n_int_rows + rank[picks]])
+    n_rows = n_int_rows + len(order)
+    used = (slice(n_int_rows, n_rows), directions[order])
+    rows = _grouped_rows(n_rows, row_of, space.dim, integer_rows, used)
     biases = np.concatenate([biases, mixed_biases])
     coeffs = np.concatenate([np.ones(1 + n_int_units), np.zeros(n_mixed)])
     fit = RecursiveLeastSquares(coeffs, lam=REGULARISER)
-    rows, row_of = _grouped_rows(rows, row_of)
     return ReluSurrogate(rows, row_of, biases, fit.coeffs, rls=fit)
 
 
-def _grouped_rows(rows: np.ndarray, row_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lay out a factorisation so that (rows @ v)[row_of] == weights @ v bit for bit.
+def _grouped_rows(n_rows: int, row_of: np.ndarray, dim: int, *writes) -> np.ndarray:
+    """The rows of a factorisation laid out so that (rows @ v)[row_of] ==
+    weights @ v bit for bit; ``row_of`` is moved into the layout in place.
 
-    The rows are padded with zero rows to whole kernel groups, and the last
-    M mod 4 units point at their own copies appended after the padding, so
-    each unit's row is in a full group or in the remainder just as in the
-    dense matrix.
+    ``writes`` are (index, values) pairs that put the ``n_rows`` distinct rows
+    first. They are padded with zero rows to whole kernel groups, and the last
+    M mod 4 units point at their own copies after the padding, so each unit's
+    row is in a full group or in the remainder just as in the dense matrix.
     """
     m, tail = len(row_of), len(row_of) % _GEMV_GROUP
-    pad = -len(rows) % _GEMV_GROUP
-    grouped = np.concatenate(
-        [rows, np.zeros((pad, rows.shape[1])), rows[row_of[m - tail :]]]
-    )
-    row_of = row_of.copy()
-    row_of[m - tail :] = len(rows) + pad + np.arange(tail)
-    return grouped, row_of
+    rows = np.zeros((n_rows + -n_rows % _GEMV_GROUP + tail, dim))
+    for at, values in writes:
+        rows[at] = values
+    rows[len(rows) - tail :] = rows[row_of[m - tail :]]
+    row_of[m - tail :] = len(rows) - tail + np.arange(tail)
+    return rows

@@ -5,14 +5,24 @@ The package builds a model one way, ``build_surrogate``. ``from_weights``
 builds one from dense unit rows, for tests that need a model small enough
 to reason about, and lays its rows out as the builder does: a hand-built
 copy of a built model has the same layout and gives the same bits.
+``concatenated_build`` assembles the builder's arrays block by block, as
+the builder once did, for the tests that check its one-pass assembly.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from mvrsm.errors import DimensionMismatchError
-from mvrsm.surrogate import ReluSurrogate, _grouped_rows
+from mvrsm.surrogate import (
+    ReluSurrogate,
+    _draw_mixed_units,
+    _grouped_rows,
+    _integer_block,
+    sample_directions,
+)
 
 
 def _distinct_rows(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -31,7 +41,49 @@ def from_weights(weights, biases, coeffs) -> ReluSurrogate:
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 2:
         raise DimensionMismatchError(f"weights of shape {weights.shape}")
-    return ReluSurrogate(*_grouped_rows(*_distinct_rows(weights)), biases, coeffs)
+    distinct, row_of = _distinct_rows(weights)
+    n_rows = len(distinct)
+    rows = _grouped_rows(n_rows, row_of, weights.shape[1], (slice(n_rows), distinct))
+    return ReluSurrogate(rows, row_of, biases, coeffs)
+
+
+def dense_integer_block(space) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The constant and integer units as (distinct rows, row of each unit,
+    biases), with the rows written one sign at a time into their own array."""
+    row_of, biases, _, _ = _integer_block(space)
+    nc, nd = space.n_continuous, space.n_integer
+    var = np.concatenate([np.arange(nd), np.arange(1, nd)])
+    diff = np.arange(nd, len(var))
+    rows = np.zeros((1 + 2 * len(var), space.dim))
+    for first, s in ((1, 1.0), (2, -1.0)):
+        k = first + 2 * np.arange(len(var))
+        rows[k, nc + var] = s
+        rows[k[diff], nc + var[diff] - 1] = -s
+    return rows, row_of, biases
+
+
+def concatenated_build(space, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``build_surrogate``'s (rows, row_of, biases, coeffs), assembled by
+    concatenation: the integer block, then the used directions in order of
+    first use, then the zero padding to whole 4-row groups and copies of the
+    last M mod 4 units' rows."""
+    rows, row_of, biases = dense_integer_block(space)
+    n_int_units = len(biases) - 1
+    directions = sample_directions(space, rng)
+    n_mixed = math.ceil(space.n_continuous * n_int_units / space.n_integer)
+    picks, mixed_biases = _draw_mixed_units(space, directions, n_mixed, rng)
+    order = list(dict.fromkeys(picks.tolist()))
+    rank = np.empty(len(directions), dtype=np.intp)
+    rank[order] = np.arange(len(order))
+    row_of = np.concatenate([row_of, len(rows) + rank[picks]])
+    rows = np.concatenate([rows, directions[order]])
+    biases = np.concatenate([biases, mixed_biases])
+    coeffs = np.concatenate([np.ones(1 + n_int_units), np.zeros(n_mixed)])
+    m, tail = len(row_of), len(row_of) % 4
+    pad = -len(rows) % 4
+    grouped = np.concatenate([rows, np.zeros((pad, space.dim)), rows[row_of[m - tail :]]])
+    row_of[m - tail :] = len(rows) + pad + np.arange(tail)
+    return grouped, row_of, biases, coeffs
 
 
 def scalar_model(units, coeffs) -> ReluSurrogate:

@@ -21,7 +21,7 @@ from mvrsm.surrogate import (
     corner_points,
     sample_directions,
 )
-from handbuilt import dense_weights, from_weights, scalar_model
+from handbuilt import concatenated_build, dense_weights, from_weights, scalar_model
 from vertices import TooLargeError, enumerate_vertices
 
 
@@ -42,7 +42,9 @@ def one_cont_two_int():
 
 def dense_integer_units(space):
     """The constant and integer units as dense (weights, biases)."""
-    rows, row_of, biases = _integer_block(space)
+    row_of, biases, n_rows, (at, values) = _integer_block(space)
+    rows = np.zeros((n_rows, space.dim))
+    rows[at] = values
     return rows[row_of], biases
 
 
@@ -202,6 +204,9 @@ def test_corner_points_of_a_stack_are_the_corners_of_each_row():
     weights = sample_directions(space, np.random.default_rng(8))
     weights[0, :3] = 0.0
     min_corners, max_corners = corner_points(space, weights)
+    nonneg = weights >= 0.0
+    assert min_corners.tobytes() == np.where(nonneg, space.lower, space.upper).tobytes()
+    assert max_corners.tobytes() == np.where(nonneg, space.upper, space.lower).tobytes()
     for w, q1, q2 in zip(weights, min_corners, max_corners):
         want1, want2 = corner_points(space, w)
         assert q1.tobytes() == want1.tobytes() and q2.tobytes() == want2.tobytes()
@@ -760,6 +765,88 @@ def test_building_the_largest_model_allocates_no_dense_unit_rows():
         tracemalloc.stop()
     assert (model.n_units, model.dim) == (6629, 238)
     assert peak < model.n_units * model.dim * 8 / 2
+
+
+def test_building_the_largest_model_allocates_one_row_array():
+    # the distinct rows are written once, into their final layout, and the
+    # kink parts of axis_derivatives (two arrays of the rows' size) are formed
+    # at its first call
+    space, _ = make_benchmark("rosenbrock238")
+    tracemalloc.start()
+    try:
+        model = build_surrogate(space, np.random.default_rng(0))
+        held, peak = tracemalloc.get_traced_memory()
+        model.axis_derivatives(space.lower)
+        after_axis_move, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = model.rows.nbytes
+    assert peak <= 2.0 * size, peak / size
+    assert held <= 1.3 * size, held / size
+    assert 1.9 * size <= after_axis_move - held <= 2.2 * size, (after_axis_move - held) / size
+
+
+def assert_built_as_concatenated(space, seed):
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    model = build_surrogate(space, rng)
+    want = concatenated_build(space, reference_rng)
+    for name, expected in zip(("rows", "row_of", "biases", "coeffs"), want):
+        got = getattr(model, name)
+        assert (got.dtype, got.shape) == (expected.dtype, expected.shape), name
+        assert got.tobytes() == expected.tobytes(), name
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+    return model
+
+
+@pytest.mark.parametrize("name", ["rosenbrock10", "ackley53", "rosenbrock238"])
+def test_one_pass_build_gives_the_bytes_of_the_concatenated_assembly(name):
+    space, _ = make_benchmark(name)
+    assert_built_as_concatenated(space, 0)
+
+
+C, I = "continuous", "integer"
+LAYOUT_CASES = [
+    # (variables, M mod 4): every tail length, with and without continuous
+    # variables, and with an integer variable pinned to one value
+    (((I, 2, 2), (C, -1.0, 1.0), (I, 0, 3)), 0),
+    (((C, -1.0, 1.0), (I, 0, 2)), 1),
+    (((C, -1.0, 1.0), (I, 0, 2), (I, 0, 2)), 2),
+    (((C, -1.0, 1.0), (C, 0.0, 3.0), (I, -1, 1)), 3),
+    (((I, 0, 1),), 1),
+    (((I, 0, 2), (I, 0, 2)), 3),
+    (((I, 2, 2),), 3),
+    (((I, 0, 3), (I, 1, 1)), 3),
+]
+
+
+@pytest.mark.parametrize("variables, tail", LAYOUT_CASES)
+def test_one_pass_build_gives_the_bytes_of_the_concatenated_assembly_at_every_tail(
+    variables, tail
+):
+    space = SearchSpace(tuple(VariableSpec(*v) for v in variables))
+    for seed in range(3):
+        assert assert_built_as_concatenated(space, seed).n_units % 4 == tail
+
+
+@st.composite
+def small_spaces(draw):
+    integers = [
+        VariableSpec("integer", lo, lo + draw(st.integers(0, 3)))
+        for lo in draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3))
+    ]
+    continuous = [
+        VariableSpec("continuous", lo, lo + draw(st.sampled_from([0.5, 1.0, 3.0])))
+        for lo in draw(st.lists(st.sampled_from([-2.0, 0.0, 1.5]), max_size=3))
+    ]
+    return SearchSpace(tuple(draw(st.permutations(integers + continuous))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(space=small_spaces(), seed=st.integers(0, 2**32 - 1))
+def test_one_pass_build_gives_the_bytes_of_the_concatenated_assembly_on_small_spaces(
+    space, seed
+):
+    assert_built_as_concatenated(space, seed)
 
 
 # -- transpose products from the distinct unit rows -------------------------------
