@@ -72,11 +72,13 @@ def minimize(
     max_iters: int = MAX_ITERS,
 ) -> BoxMinResult:
     """Descend the surrogate from ``start`` for at most ``max_iters`` iterations,
-    staying inside the box."""
+    staying inside the box. Each point's pre-activations are formed once and
+    passed to every model call there; an accepted trial's are the next iterate's."""
     lower, upper = space.lower, space.upper
     x = start.flatten().clip(lower, upper)
-    f = model.value(x)
-    g = model.gradient(x)
+    z = model.preactivations(x)
+    f = model.value(z)
+    g = model.gradient(z)
     _check_finite(f, g)
 
     # curvature pairs (s, y, rho, gamma), oldest first
@@ -91,29 +93,29 @@ def minimize(
         iterations += 1
 
         step = None
-        for direction, alpha in _candidates(model, x, g, pairs, lower, upper):
-            step = _line_search(model, x, f, direction, alpha, lower, upper)
+        for direction, alpha in _candidates(model, x, z, g, pairs, lower, upper):
+            step = _line_search(model, x, z, f, direction, alpha, lower, upper)
             if step is not None:
                 break
         if step is None:
             break
-        x_new, f_new, step_norm = step
+        x_new, z_new, f_new, step_norm = step
 
-        g_new = model.gradient(x_new)
+        g_new = model.gradient(z_new)
         _check_finite(f_new, g_new)
         s, y = x_new - x, g_new - g
         sy, yy = s.dot(y), y.dot(y)
         if sy > CURVATURE_EPS * math.sqrt(s.dot(s)) * math.sqrt(yy):
             pairs.append((s, y, 1.0 / sy, sy / yy))
-        x, f, g = x_new, f_new, g_new
+        x, z, f, g = x_new, z_new, f_new, g_new
         if step_norm < STEP_TOL:
             break
 
     return BoxMinResult(point=space.unflatten(x), iterations=iterations)
 
 
-def _candidates(model, x, g, pairs, lower, upper):
-    """Trial directions with initial step sizes, best first.
+def _candidates(model, x, z, g, pairs, lower, upper):
+    """Trial directions from ``x`` (pre-activations ``z``) with initial step sizes, best first.
 
     Quasi-Newton (then steepest descent) directions are screened by their
     exact one-sided slope; when neither truly descends, the steepest feasible
@@ -122,16 +124,16 @@ def _candidates(model, x, g, pairs, lower, upper):
     """
     direction = _two_loop(g, pairs)
     norm_d = math.sqrt(direction.dot(direction))
-    if norm_d > 0.0 and model.directional_derivative(x, direction) < 0.0:
+    if norm_d > 0.0 and model.directional_derivative(z, direction) < 0.0:
         # unit trial step once curvature pairs scale the direction; before
         # that, a unit-length steepest descent step
         yield direction, 1.0 if pairs else 1.0 / norm_d
     if pairs:
         norm_g = math.sqrt(g.dot(g))
-        if norm_g > 0.0 and model.directional_derivative(x, -g) < 0.0:
+        if norm_g > 0.0 and model.directional_derivative(z, -g) < 0.0:
             yield -g, 1.0 / norm_g
 
-    ascent, descent = model.axis_derivatives(x)
+    ascent, descent = model.axis_derivatives(z)
     ascent = np.where(x < upper, ascent, np.inf)
     descent = np.where(x > lower, descent, np.inf)
     slopes = np.minimum(ascent, descent)
@@ -141,11 +143,12 @@ def _candidates(model, x, g, pairs, lower, upper):
         coord = np.zeros_like(x)
         coord[i] = sign
         room = float((upper[i] - x[i]) if sign > 0.0 else (x[i] - lower[i]))
-        yield coord, model.first_uphill_kink(x, i, sign, float(slopes[i]), room)
+        yield coord, model.first_uphill_kink(z, i, sign, float(slopes[i]), room)
 
 
-def _line_search(model, x, f, direction, alpha, lower, upper):
-    """Backtrack until a trial point passes sufficient decrease, or give up.
+def _line_search(model, x, z, f, direction, alpha, lower, upper):
+    """Backtrack from ``x`` (pre-activations ``z``) until a trial point passes
+    sufficient decrease, returned as (point, its z, value, step length), or give up.
 
     The decrease test compares against the exact one-sided slope along the
     clipped step, so a step that the averaged gradient calls downhill but the
@@ -160,13 +163,14 @@ def _line_search(model, x, f, direction, alpha, lower, upper):
         step_norm = math.sqrt(step.dot(step))
         if step_norm < STEP_TOL:
             return None
-        f_new = model.value(x_new)
+        z_new = model.preactivations(x_new)
+        f_new = model.value(z_new)
         if not math.isfinite(f_new):
             raise NonFiniteError("surrogate value is not finite")
         if f_new <= f:
-            predicted = model.directional_derivative(x, step)
+            predicted = model.directional_derivative(z, step)
             if predicted < 0.0 and f_new <= f + ARMIJO_C1 * predicted:
-                return x_new, f_new, step_norm
+                return x_new, z_new, f_new, step_norm
         alpha *= 0.5
     return None
 

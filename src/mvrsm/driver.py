@@ -167,9 +167,10 @@ class RandomSearch:
     uniform draw, and the bookkeeping a subclass's ``_propose`` and ``_learn`` share.
 
     ``ask`` proposes the next point; ``tell`` feeds back its value. They must
-    alternate, and ``tell`` accepts only the pending ``ask``'s point (a copy
-    will do) and a finite value: a rejected ``tell`` changes nothing. ``run``
-    is a plain ask/evaluate/tell loop, so a hand-driven session reproduces it.
+    alternate, ``ask`` refuses once ``config.budget`` values are told, and
+    ``tell`` accepts only the pending ``ask``'s point (a copy will do) and a
+    finite value: a rejected ``tell`` changes nothing. ``run`` is a plain
+    ask/evaluate/tell loop, so a hand-driven session reproduces it.
     """
 
     def __init__(self, space: SearchSpace, config: OptimizerConfig):
@@ -185,6 +186,8 @@ class RandomSearch:
     def ask(self) -> MixedPoint:
         if self._pending is not None:
             raise ProtocolViolationError("ask() called again before tell()")
+        if len(self.trace) == self.config.budget:
+            raise ProtocolViolationError("ask() called after the budget's last tell()")
         tic = time.perf_counter()
         point = self._propose()
         self._ask_seconds = time.perf_counter() - tic
@@ -251,7 +254,8 @@ class MvrsmOptimizer(RandomSearch):
         return self._current
 
     def _learn(self, point: MixedPoint, y: float) -> None:
-        self.model.rls.update(self.model.features(point.flatten()), y)
+        model = self.model
+        model.rls.update(model.features(model.preactivations(point.flatten())), y)
         best_point = point if y < self._best_y else self._best_point
         index = len(self.trace) + 1
         if index == self.config.init_samples:

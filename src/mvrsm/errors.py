@@ -51,7 +51,7 @@ class NonFiniteError(MvrsmError, ValueError):
 
 
 class ProtocolViolationError(MvrsmError, RuntimeError):
-    """ask/tell were called out of turn."""
+    """ask/tell were called out of turn, or ask after the budget's last value was told."""
 
 
 class ObjectiveFailureError(MvrsmError, RuntimeError):

@@ -43,11 +43,6 @@ RandomStream = np.random.Generator
 
 REGULARISER = 1e-8  # ridge strength for the coefficient fit
 
-# Points whose pre-activations a model keeps: box descent alternates between
-# its iterate and one line-search trial, and an accepted trial becomes the
-# next iterate.
-_MEMO_POINTS = 2
-
 # Rows per group in OpenBLAS's matrix-vector kernel. Under one BLAS thread a
 # row's dot product depends only on whether the row sits in a full group or in
 # the final len(rows) mod 4 remainder; the distinct-row layout is built on that.
@@ -58,20 +53,19 @@ _GEMV_GROUP = 4
 class ReluSurrogate:
     """The fitted model: unit rows are frozen after construction, coefficients are not.
 
-    Every method takes a point (and a direction) as one flat float vector in
-    block layout [continuous; integer], as ``MixedPoint.flatten`` gives it.
-    Unit k is row ``row_of[k]`` of ``rows`` (in that layout) plus
-    ``biases[k]``: integer units are +-e_i or +-(e_i - e_{i-1}) and mixed
-    units share n_continuous directions, so the M = 6629 units of
-    rosenbrock238 have 597 distinct rows. The dense unit rows
-    ``weights = rows[row_of]`` are never formed. The model owns
-    its unit rows: ``rows``, ``row_of`` and ``biases`` are made read-only,
-    without a copy, when they are set. The pre-activations
-    z = weights @ x + biases do not depend on the coefficients, so they are
-    computed once per point and kept for two points (the descent's iterate
-    and its latest line-search trial); assigning any of the three forgets
-    them. ``coeffs`` is shared with the attached least squares state (when
-    one is attached), so updates through either view are seen by both.
+    A point x (and a direction) is one flat float vector in block layout
+    [continuous; integer], as ``MixedPoint.flatten`` gives it. Unit k is row
+    ``row_of[k]`` of ``rows`` (in that layout) plus ``biases[k]``: integer
+    units are +-e_i or +-(e_i - e_{i-1}) and mixed units share n_continuous
+    directions, so the M = 6629 units of rosenbrock238 have 597 distinct
+    rows. The dense unit rows ``weights = rows[row_of]`` are never formed.
+    The model owns its unit rows: ``rows``, ``row_of`` and ``biases`` are
+    made read-only, without a copy, when they are set. A point enters the
+    model only through its pre-activations z = weights @ x + biases, which do
+    not depend on the coefficients: ``preactivations`` forms them, every
+    other method takes z in place of x, and the model keeps none. ``coeffs``
+    is shared with the attached least squares state (when one is attached),
+    so updates through either view are seen by both.
 
     The forward products weights @ v (pre-activations and directional rates)
     are (rows @ v)[row_of], with the bits of the dense product. Under one
@@ -99,8 +93,6 @@ class ReluSurrogate:
         if name in ("rows", "row_of", "biases"):
             value = np.asanyarray(value, dtype=np.intp if name == "row_of" else float)
             value.flags.writeable = False
-            # (coordinate bytes, z, reused) per point, in the order to forget them
-            object.__setattr__(self, "_z_memo", [])
             if name == "rows":
                 # max(+-rows, 0), formed again at the next axis_derivatives call
                 object.__setattr__(self, "_kink_parts", None)
@@ -133,51 +125,31 @@ class ReluSurrogate:
         """u summed over the units of each distinct row, in unit order."""
         return np.bincount(self.row_of, weights=u, minlength=len(self.rows))
 
-    def _preactivation(self, x) -> np.ndarray:
-        """Read-only z = weights @ x + biases, remembered for two points.
-
-        When a new point needs room, a point not used again since it was
-        formed (a line-search trial rejected on its value) is forgotten first,
-        otherwise the least recently used one. The memo is kept in that
-        order: points not reused yet, oldest first, then reused points, least
-        recently used first.
-        """
+    def preactivations(self, x) -> np.ndarray:
+        """Read-only z = weights @ x + biases, what the other methods take for x."""
         x = np.asarray(x, dtype=float)
         if x.shape != self.rows.shape[1:]:
             raise DimensionMismatchError(f"point of shape {x.shape}, model dim {self.dim}")
-        key = x.tobytes()
-        memo = self._z_memo
-        for i, (known, z, _) in enumerate(memo):
-            if known == key:
-                del memo[i]
-                memo.append((key, z, True))
-                return z
         z = self._forward(x)
         z += self.biases
         z.flags.writeable = False
-        if len(memo) == _MEMO_POINTS:
-            del memo[0]
-        i = len(memo)
-        while i and memo[i - 1][2]:
-            i -= 1
-        memo.insert(i, (key, z, False))
         return z
 
-    def features(self, x) -> np.ndarray:
-        """Unit activations phi_k(x) = max(0, w_k . x + b_k)."""
-        return np.maximum(self._preactivation(x), 0.0)
+    def features(self, z) -> np.ndarray:
+        """Unit activations phi_k(x) = max(0, z_k)."""
+        return np.maximum(z, 0.0)
 
-    def value(self, x) -> float:
-        return float(self.coeffs.dot(self.features(x)))
+    def value(self, z) -> float:
+        return float(self.coeffs.dot(self.features(z)))
 
-    def gradient(self, x) -> np.ndarray:
+    def gradient(self, z) -> np.ndarray:
         """Subgradient sum_k c_k s(z_k) w_k with s = 1 above the kink, 0 below, 1/2 at it."""
-        z = self._preactivation(x)
         slope = np.where(z > 0.0, 1.0, np.where(z < 0.0, 0.0, 0.5))
         return self.rows.T @ self._per_row(self.coeffs * slope)
 
-    def directional_derivative(self, x, direction: np.ndarray) -> float:
-        """Exact one-sided derivative of the model at ``x`` along ``direction``.
+    def directional_derivative(self, z, direction: np.ndarray) -> float:
+        """Exact one-sided derivative of the model along ``direction`` at the
+        point x whose pre-activations are ``z``.
 
         Unlike ``gradient``, which averages the two slopes of a unit sitting
         exactly at its kink, this resolves each such unit by the side the
@@ -187,7 +159,6 @@ class ReluSurrogate:
         direction that is actually uphill; line searches should trust this
         value instead.
         """
-        z = self._preactivation(x)
         direction = np.asarray(direction, dtype=float)
         if direction.shape != self.rows.shape[1:]:
             raise DimensionMismatchError(
@@ -198,7 +169,7 @@ class ReluSurrogate:
         np.maximum(rate, 0.0, out=slope, where=z == 0.0)
         return float(self.coeffs.dot(slope))
 
-    def axis_derivatives(self, x) -> tuple[np.ndarray, np.ndarray]:
+    def axis_derivatives(self, z) -> tuple[np.ndarray, np.ndarray]:
         """One-sided derivatives along +e_i and -e_i for every coordinate.
 
         Equivalent to calling ``directional_derivative`` with each signed unit
@@ -206,7 +177,6 @@ class ReluSurrogate:
         to find a usable coordinate move when quasi-Newton directions fail at
         a kink point.
         """
-        z = self._preactivation(x)
         if self._kink_parts is None:
             down = np.negative(self.rows)
             self._kink_parts = np.maximum(self.rows, 0.0), np.maximum(down, 0.0, out=down)
@@ -215,9 +185,10 @@ class ReluSurrogate:
         c_kink = self._per_row(np.where(z == 0.0, self.coeffs, 0.0))
         return base + rows_up.T @ c_kink, -base + rows_down.T @ c_kink
 
-    def first_uphill_kink(self, x, i: int, sign: float, slope: float, room: float) -> float:
-        """Distance t along ``sign`` * e_i from ``x`` to the first kink past
-        which the model's exact slope is >= 0, or ``room`` if none comes first.
+    def first_uphill_kink(self, z, i: int, sign: float, slope: float, room: float) -> float:
+        """Distance t along ``sign`` * e_i from the point x whose pre-activations
+        are ``z`` to the first kink past which the model's exact slope is >= 0,
+        or ``room`` if none comes first.
 
         ``slope`` is the exact one-sided slope at t = 0+, as ``axis_derivatives``
         gives it. Unit k's pre-activation moves as z_k + t r_k with
@@ -225,9 +196,8 @@ class ReluSurrogate:
         it changes the slope by c_k |r_k|: up for c_k > 0, down for c_k < 0.
         Kinks in (0, room) are summed in order of t_k (ties in unit order), and
         the slope past a kink counts every unit kinked at the same t. A unit at
-        its kink at ``x`` (t_k = +-0) is already counted in ``slope``.
+        its kink at x (t_k = +-0) is already counted in ``slope``.
         """
-        z = self._preactivation(x)
         rate = sign * self.rows[:, i].take(self.row_of)
         moving = rate != 0.0
         rate = rate[moving]

@@ -92,6 +92,11 @@ def scalar_model(units, coeffs) -> ReluSurrogate:
     return from_weights(np.array(weights, float)[:, None], biases, coeffs)
 
 
+def value_at(model: ReluSurrogate, x) -> float:
+    """The model's value at the point x, from its pre-activations there."""
+    return model.value(model.preactivations(x))
+
+
 def dense_weights(model: ReluSurrogate) -> np.ndarray:
     """The model's unit rows, one per unit: rows[row_of]."""
     return model.rows[model.row_of]

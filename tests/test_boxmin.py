@@ -22,7 +22,7 @@ from mvrsm.errors import NonFiniteError
 from mvrsm.objectives import make_benchmark
 from mvrsm.space import MixedPoint, SearchSpace, VariableSpec
 from mvrsm.surrogate import build_surrogate
-from handbuilt import dense_weights, from_weights, scalar_model
+from handbuilt import dense_weights, from_weights, scalar_model, value_at
 
 
 def golden_section(f, lo, hi, tol=1e-10):
@@ -61,7 +61,7 @@ def test_zero_model_returns_start_without_iterating():
     res = minimize(model, space, start(space, 2.5))
     assert res.point.xd[0] == 2.5
     assert res.iterations == 0
-    assert model.value(res.point.flatten()) == 0.0
+    assert value_at(model, res.point.flatten()) == 0.0
 
 
 def test_single_relu_descends_to_its_flat_region():
@@ -69,8 +69,8 @@ def test_single_relu_descends_to_its_flat_region():
     space = line_space()
     model = scalar_model([(1, -1)], [1.0])
     res = minimize(model, space, start(space, 2.5))
-    reached = model.value(res.point.flatten())
-    assert reached <= model.value(np.array([2.5]))
+    reached = value_at(model, res.point.flatten())
+    assert reached <= value_at(model, np.array([2.5]))
     assert reached == 0.0
     assert res.point.xd[0] <= 1.0 + 1e-9
 
@@ -79,7 +79,7 @@ def test_v_shape_reaches_the_kink():
     # |x-1| = max(0, x-1) + max(0, 1-x); golden-section confirms the minimizer
     space = line_space()
     model = scalar_model([(1, -1), (-1, 1)], [1.0, 1.0])
-    oracle = golden_section(lambda t: model.value(np.array([t])), 0.0, 3.0)
+    oracle = golden_section(lambda t: value_at(model, np.array([t])), 0.0, 3.0)
     assert oracle == pytest.approx(1.0, abs=1e-8)
     res = minimize(model, space, start(space, 0.2), max_iters=20)
     assert abs(res.point.xd[0] - oracle) <= 1e-3
@@ -99,7 +99,7 @@ def test_never_increases_value_on_random_models():
         model.coeffs[:] = rng.uniform(-1, 1, model.n_units)
         p = space.uniform_sample(rng)
         res = minimize(model, space, p)
-        assert model.value(res.point.flatten()) <= model.value(p.flatten()) + 1e-12
+        assert value_at(model, res.point.flatten()) <= value_at(model, p.flatten()) + 1e-12
         assert space.contains(res.point)
         assert res.iterations <= 20
 
@@ -109,7 +109,7 @@ def test_out_of_box_start_is_clipped_first():
     model = scalar_model([(1, -1)], [1.0])
     res = minimize(model, space, start(space, 50.0))
     assert res.point.xd[0] <= 3.0
-    assert model.value(res.point.flatten()) == 0.0
+    assert value_at(model, res.point.flatten()) == 0.0
 
 
 def test_iteration_budget_respected():
@@ -134,13 +134,14 @@ def test_escapes_kink_point_where_averaged_gradient_misleads():
         np.array([5.0, 6.0, 0.5]),
     )
     x0 = np.array([1.0, 0.0])
-    g = model.gradient(x0)
+    z0 = model.preactivations(x0)
+    g = model.gradient(z0)
     # averaged gradient: x0 slope 0.5*5 - 0.5*6 = -0.5, so -g walks x0 upward
     assert g[0] == -0.5
     # but the exact slope along that walk is uphill
-    assert model.directional_derivative(x0, -g) > 0.0
+    assert model.directional_derivative(z0, -g) > 0.0
     res = minimize(model, space, space.unflatten(x0))
-    assert model.value(res.point.flatten()) == 0.0
+    assert value_at(model, res.point.flatten()) == 0.0
     assert res.point.xd[1] >= 1.0  # escaped by moving the second coordinate
 
 
@@ -160,13 +161,13 @@ def test_descends_from_integral_points_of_built_surrogates():
         model = build_surrogate(space, rng)
         model.coeffs[:] = rng.uniform(-1, 1, model.n_units)
         p = space.uniform_sample(rng)
-        up, down = model.axis_derivatives(p.flatten())
+        up, down = model.axis_derivatives(model.preactivations(p.flatten()))
         movable = np.concatenate(
             [up[p.flatten() < space.upper], down[p.flatten() > space.lower]]
         )
         res = minimize(model, space, p)
         if movable.size and movable.min() < -1e-9:
-            if not model.value(res.point.flatten()) < model.value(p.flatten()):
+            if not value_at(model, res.point.flatten()) < value_at(model, p.flatten()):
                 stuck += 1
     assert stuck == 0
 
@@ -190,39 +191,54 @@ def test_descent_forms_each_points_preactivations_once():
     model = build_surrogate(space, rng)
     samples = [space.uniform_sample(rng) for _ in range(30)]
     for p in samples:
-        model.rls.update(model.features(p.flatten()), objective(p))
-    best = min(samples, key=lambda p: model.value(p.flatten()))
+        model.rls.update(model.features(model.preactivations(p.flatten())), objective(p))
+    best = min(samples, key=lambda p: value_at(model, p.flatten()))
 
     # every product is formed on the distinct unit rows
     rows = model.rows.view(CountingProducts)
     rows.log = []
     model.rows = rows
-    evaluated = set()
+    points = []
     calls = []
-    for name in ("features", "value", "gradient", "directional_derivative", "axis_derivatives"):
+    for name in (
+        "preactivations", "features", "value", "gradient",
+        "directional_derivative", "axis_derivatives",
+    ):
         method = getattr(model, name)
 
-        def recording(x, *args, _method=method, _name=name):
-            evaluated.add(np.asarray(x, dtype=float).tobytes())
+        def recording(*args, _method=method, _name=name):
             calls.append(_name)
-            return _method(x, *args)
+            if _name == "preactivations":
+                points.append(np.asarray(args[0], dtype=float).tobytes())
+            return _method(*args)
 
         setattr(model, name, recording)
+    accepted = []
 
-    res = minimize(model, space, best)
+    def counting(*args):
+        step = _line_search(*args)
+        accepted.append(step is not None)
+        return step
+
+    with patch.object(boxmin, "_line_search", counting):
+        res = minimize(model, space, best)
     assert res.iterations > 5
-    directional = calls.count("directional_derivative")
-    # a line-search trial rejected on its value is followed by the next trial
+    # z once per distinct point: the start and each line-search trial, whose
+    # value is taken from it; an accepted trial's z serves the next iterate
+    assert len(points) == len(set(points))
+    assert calls.count("value") == len(points)
+    assert calls.count("gradient") == 1 + sum(accepted)
+    # a trial rejected on its value is followed by the next trial
     # (``value`` calls ``features`` itself)
     descent = [name for name in calls if name != "features"]
-    rejected_on_value = sum(a == b == "value" for a, b in zip(descent, descent[1:]))
+    rejected_on_value = sum(
+        (a, b) == ("value", "preactivations") for a, b in zip(descent, descent[1:])
+    )
     assert rejected_on_value > 0
-    at_points = [v for v in rows.log if v in evaluated]
-    # rows . x once per distinct point, plus one rows . d per directional
-    # derivative formed; a trial rejected on its value forms no rows . d
-    assert len(at_points) == len(evaluated) and set(at_points) == evaluated
-    assert len(rows.log) == len(evaluated) + directional
-    assert calls.count("gradient") > 0
+    # rows . x once per point, plus one rows . d per directional derivative
+    # formed; a trial rejected on its value forms no rows . d
+    assert sorted(v for v in rows.log if v in set(points)) == sorted(points)
+    assert len(rows.log) == len(points) + calls.count("directional_derivative")
 
 
 def reference_line_search(model, x, f, direction, alpha, lower, upper, step_tol):
@@ -233,10 +249,10 @@ def reference_line_search(model, x, f, direction, alpha, lower, upper, step_tol)
         step_norm = float(np.linalg.norm(step))
         if step_norm < step_tol:
             return None
-        f_new = model.value(x_new)
+        f_new = value_at(model, x_new)
         if not np.isfinite(f_new):
             raise NonFiniteError("surrogate value is not finite")
-        predicted = model.directional_derivative(x, step)
+        predicted = model.directional_derivative(model.preactivations(x), step)
         if predicted < 0.0 and f_new <= f + ARMIJO_C1 * predicted:
             return x_new, f_new, step_norm
         alpha *= 0.5
@@ -270,16 +286,18 @@ def test_line_search_matches_the_rule_that_forms_every_slope(
     lower, upper = np.full(dim, -2.0), np.full(dim, 2.0)
     x = rng.integers(-2, 3, size=dim).astype(float) if integral else rng.uniform(-2, 2, dim)
     direction = rng.normal(size=dim)
-    f = model.value(x)
-    args = (x, f, direction, alpha, lower, upper)
-    got = _line_search(model, *args)
-    expected = reference_line_search(model, *args, boxmin.STEP_TOL)
+    z = model.preactivations(x)
+    f = model.value(z)
+    args = (f, direction, alpha, lower, upper)
+    got = _line_search(model, x, z, *args)
+    expected = reference_line_search(model, x, *args, boxmin.STEP_TOL)
     if expected is None:
         assert got is None
     else:
         assert got is not None
         assert got[0].tobytes() == expected[0].tobytes()
-        assert got[1:] == expected[1:]
+        assert got[1].tobytes() == model.preactivations(got[0]).tobytes()
+        assert got[2:] == expected[1:]
 
 
 def reference_minimize(model, space, start, kink_steps=None):
@@ -296,8 +314,8 @@ def reference_minimize(model, space, start, kink_steps=None):
     """
     lower, upper = space.lower, space.upper
     x = np.clip(start.flatten(), lower, upper)
-    f = model.value(x)
-    g = model.gradient(x)
+    f = value_at(model, x)
+    g = model.gradient(model.preactivations(x))
     pairs = deque(maxlen=boxmin.MEMORY)
     iterations = 0
     for _ in range(boxmin.MAX_ITERS):
@@ -316,7 +334,7 @@ def reference_minimize(model, space, start, kink_steps=None):
         if step is None:
             break
         x_new, f_new, step_norm = step
-        g_new = model.gradient(x_new)
+        g_new = model.gradient(model.preactivations(x_new))
         s, y = x_new - x, g_new - g
         if float(s @ y) > CURVATURE_EPS * np.linalg.norm(s) * np.linalg.norm(y):
             pairs.append((s, y))
@@ -327,15 +345,16 @@ def reference_minimize(model, space, start, kink_steps=None):
 
 
 def reference_candidates(model, x, g, pairs, lower, upper, kink_steps=None):
+    z = model.preactivations(x)
     direction = reference_two_loop(g, pairs)
     norm_d = float(np.linalg.norm(direction))
-    if norm_d > 0.0 and model.directional_derivative(x, direction) < 0.0:
+    if norm_d > 0.0 and model.directional_derivative(z, direction) < 0.0:
         yield direction, 1.0 if pairs else 1.0 / norm_d
     if pairs:
         norm_g = float(np.linalg.norm(g))
-        if norm_g > 0.0 and model.directional_derivative(x, -g) < 0.0:
+        if norm_g > 0.0 and model.directional_derivative(z, -g) < 0.0:
             yield -g, 1.0 / norm_g
-    ascent, descent = model.axis_derivatives(x)
+    ascent, descent = model.axis_derivatives(z)
     ascent = np.where(x < upper, ascent, np.inf)
     descent = np.where(x > lower, descent, np.inf)
     slopes = np.minimum(ascent, descent)
@@ -359,7 +378,7 @@ def reference_first_uphill_kink(model, x, i, sign, slope, room):
     unit order, their changes are summed in that order, and the step is the
     first t past whose last unit ``slope`` plus the sum so far is >= 0.
     """
-    z = model._preactivation(x)
+    z = model.preactivations(x)
     weights = dense_weights(model)
     kinks = []
     for k in range(model.n_units):
@@ -400,7 +419,7 @@ def assert_descent_matches_reference(model, space, start, kink_steps=None):
     res = minimize(model, space, start)
     x, f, iterations = reference_minimize(model, space, start, kink_steps)
     assert res.point.flatten().tobytes() == x.tobytes()
-    assert (model.value(res.point.flatten()), res.iterations) == (f, iterations)
+    assert (value_at(model, res.point.flatten()), res.iterations) == (f, iterations)
     return res
 
 
@@ -450,7 +469,7 @@ def test_benchmark_descents_match_the_reference_loop_bit_for_bit(name):
     model = build_surrogate(space, rng)
     for _ in range(100):
         p = space.uniform_sample(rng)
-        model.rls.update(model.features(p.flatten()), objective(p))
+        model.rls.update(model.features(model.preactivations(p.flatten())), objective(p))
     iterations, kink_steps = 0, []
     for _ in range(4):
         iterations += assert_descent_matches_reference(

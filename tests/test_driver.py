@@ -22,7 +22,7 @@ from mvrsm.errors import (
     ProtocolViolationError,
 )
 from mvrsm.space import MixedPoint, SearchSpace, VariableSpec
-from handbuilt import trace_array
+from handbuilt import trace_array, value_at
 
 
 def small_space():
@@ -160,6 +160,25 @@ def test_ask_tell_protocol_enforced(session_class):
         opt.ask()
     opt.tell(point, quadratic(point))
     assert opt.ask() is not None
+
+
+@pytest.mark.parametrize("session_class", SESSIONS)
+def test_ask_refuses_once_the_budget_is_told(session_class):
+    space = small_space()
+    cfg = OptimizerConfig(budget=30, init_samples=5, rng_seed=2)
+    opt = session_class(space, cfg)
+    for _ in range(cfg.budget):
+        point = opt.ask()
+        opt.tell(point, quadratic(point))
+    for _ in range(2):
+        with pytest.raises(ProtocolViolationError, match="budget"):
+            opt.ask()
+    with pytest.raises(ProtocolViolationError):
+        opt.tell(point, quadratic(point))
+    # the hand-driven trace is the run's, record for record
+    reference = session_class(space, cfg).run(quadratic)
+    assert len(opt.trace) == len(reference) == cfg.budget
+    np.testing.assert_array_equal(trace_array(opt.trace, "y"), trace_array(reference, "y"))
 
 
 @pytest.mark.parametrize("session_class", SESSIONS)
@@ -314,7 +333,7 @@ def test_model_reproduces_observations_of_in_span_objective():
         point = opt.ask()
         opt.tell(point, in_span(point))
     residuals = [
-        opt.model.value(r.point.flatten()) - r.y for r in opt.trace.records
+        value_at(opt.model, r.point.flatten()) - r.y for r in opt.trace.records
     ]
     rmse = float(np.sqrt(np.mean(np.square(residuals))))
     assert rmse <= 1e-3

@@ -291,7 +291,7 @@ def test_fit_tracks_ridge_oracle_at_benchmark_size(name, budget, init_samples):
     for _ in range(budget):
         point = opt.ask()
         y = objective(point)
-        rows.append(opt.model.features(point.flatten()))
+        rows.append(opt.model.features(opt.model.preactivations(point.flatten())))
         ys.append(y)
         opt.tell(point, y)
     phi, y = np.array(rows), np.array(ys)

@@ -1,6 +1,7 @@
 """Tests for the ReLU surrogate: basis construction, evaluation, vertices."""
 
 import collections
+import math
 import tracemalloc
 
 import numpy as np
@@ -21,7 +22,7 @@ from mvrsm.surrogate import (
     corner_points,
     sample_directions,
 )
-from handbuilt import concatenated_build, dense_weights, from_weights, scalar_model
+from handbuilt import concatenated_build, dense_weights, from_weights, scalar_model, value_at
 from vertices import TooLargeError, enumerate_vertices
 
 
@@ -356,8 +357,9 @@ def test_build_surrogate_no_continuous_block():
 def test_coefficients_alias_the_fit_state():
     model = build_surrogate(one_cont_two_int(), np.random.default_rng(0))
     assert model.coeffs is model.rls.coeffs
-    model.rls.update(model.features(np.zeros(3)), 5.0)
-    assert model.value(np.zeros(3)) != 0.0
+    z = model.preactivations(np.zeros(3))
+    model.rls.update(model.features(z), 5.0)
+    assert model.value(z) != 0.0
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -365,34 +367,34 @@ def test_coefficients_alias_the_fit_state():
 
 def test_value_hand_example():
     model = scalar_model([(1, -1), (-1, 2)], [1, 2])
-    assert model.value(np.array([1.5])) == pytest.approx(1.5)
+    assert value_at(model, np.array([1.5])) == pytest.approx(1.5)
 
 
 def test_value_zero_coefficients():
     model = scalar_model([(1, -1), (-1, 2)], [0, 0])
     for x in (-3.0, 0.0, 2.7):
-        assert model.value(np.array([x])) == 0.0
+        assert value_at(model, np.array([x])) == 0.0
 
 
 def test_value_constant_only():
     model = scalar_model([(0, 1)], [3])
     for x in (-10.0, 0.0, 42.0):
-        assert model.value(np.array([x])) == 3.0
+        assert value_at(model, np.array([x])) == 3.0
 
 
 def test_gradient_away_from_kinks():
     model = scalar_model([(1, -1), (-1, 2)], [1, 2])
-    assert model.gradient(np.array([1.5])).tolist() == [-1.0]
+    assert model.gradient(model.preactivations(np.array([1.5]))).tolist() == [-1.0]
 
 
 def test_gradient_at_kink_uses_half_slope():
     model = scalar_model([(1, -1), (-1, 2)], [1, 2])
-    assert model.gradient(np.array([1.0])).tolist() == [-1.5]
+    assert model.gradient(model.preactivations(np.array([1.0]))).tolist() == [-1.5]
 
 
 def test_gradient_all_units_inactive():
     model = scalar_model([(1, -1), (1, -2)], [1, 2])
-    assert model.gradient(np.array([0.5])).tolist() == [0.0]
+    assert model.gradient(model.preactivations(np.array([0.5]))).tolist() == [0.0]
 
 
 @pytest.mark.parametrize(
@@ -413,9 +415,9 @@ def test_inconsistent_unit_rows_rejected(rows, row_of, biases, coeffs):
 def test_dimension_mismatch_on_evaluation():
     model = scalar_model([(1, 0)], [1])
     with pytest.raises(DimensionMismatchError):
-        model.value(np.zeros(2))
+        model.preactivations(np.zeros(2))
     with pytest.raises(DimensionMismatchError):
-        model.directional_derivative(np.zeros(1), np.zeros(2))
+        model.directional_derivative(model.preactivations(np.zeros(1)), np.zeros(2))
 
 
 def test_piecewise_linearity_within_a_region():
@@ -431,8 +433,8 @@ def test_piecewise_linearity_within_a_region():
         zp, zq = w @ p + b, w @ q + b
         if np.any(zp == 0) or np.any(zq == 0) or np.any(np.sign(zp) != np.sign(zq)):
             continue
-        mid = (model.value(p) + model.value(q)) / 2
-        got = model.value((p + q) / 2)
+        mid = (value_at(model, p) + value_at(model, q)) / 2
+        got = value_at(model, (p + q) / 2)
         assert got == pytest.approx(mid, rel=1e-10, abs=1e-12)
         checked += 1
 
@@ -448,19 +450,20 @@ def test_directional_derivative_matches_gradient_off_kinks():
     for _ in range(50):
         x = space.uniform_sample(rng).flatten() + rng.normal(0, 1e-3, 3)
         d = rng.normal(size=3)
-        assert model.directional_derivative(x, d) == pytest.approx(
-            float(model.gradient(x) @ d), rel=1e-9, abs=1e-12
+        z = model.preactivations(x)
+        assert model.directional_derivative(z, d) == pytest.approx(
+            float(model.gradient(z) @ d), rel=1e-9, abs=1e-12
         )
 
 
 def test_directional_derivative_is_one_sided_at_kink():
     # single unit max(0, x): slope 1 to the right of 0, 0 to the left
     model = scalar_model([(1, 0)], [1])
-    x = np.array([0.0])
-    assert model.directional_derivative(x, np.array([1.0])) == 1.0
-    assert model.directional_derivative(x, np.array([-1.0])) == 0.0
+    z = model.preactivations(np.array([0.0]))
+    assert model.directional_derivative(z, np.array([1.0])) == 1.0
+    assert model.directional_derivative(z, np.array([-1.0])) == 0.0
     # the averaged gradient splits the difference
-    assert model.gradient(x).tolist() == [0.5]
+    assert model.gradient(z).tolist() == [0.5]
 
 
 def test_directional_derivative_predicts_small_steps():
@@ -481,8 +484,8 @@ def test_directional_derivative_predicts_small_steps():
             t = min(t, 0.5 * float(np.min(np.abs(z[crossing] / rate[crossing]))))
         if t < 1e-12:
             continue
-        slope = model.directional_derivative(x, d)
-        fd = (model.value(x + t * d) - model.value(x)) / t
+        slope = model.directional_derivative(model.preactivations(x), d)
+        fd = (value_at(model, x + t * d) - value_at(model, x)) / t
         assert fd == pytest.approx(slope, rel=1e-7, abs=1e-7)
 
 
@@ -492,13 +495,13 @@ def test_axis_derivatives_match_unit_vector_calls():
     model.coeffs[:] = np.random.default_rng(16).uniform(-1, 1, model.n_units)
     rng = np.random.default_rng(17)
     for _ in range(10):
-        x = space.uniform_sample(rng).flatten()
-        up, down = model.axis_derivatives(x)
+        z = model.preactivations(space.uniform_sample(rng).flatten())
+        up, down = model.axis_derivatives(z)
         for i in range(3):
             e = np.zeros(3)
             e[i] = 1.0
-            assert up[i] == pytest.approx(model.directional_derivative(x, e), abs=1e-12)
-            assert down[i] == pytest.approx(model.directional_derivative(x, -e), abs=1e-12)
+            assert up[i] == pytest.approx(model.directional_derivative(z, e), abs=1e-12)
+            assert down[i] == pytest.approx(model.directional_derivative(z, -e), abs=1e-12)
 
 
 # -- the axis move's first uphill kink -------------------------------------------
@@ -517,10 +520,10 @@ FALLING = ((-1.0, 0.0), 2.0)
 
 def kink_step(model, x, room=4.0):
     """The step along +e_0 from x, from the exact slope there."""
-    x = np.asarray(x, dtype=float)
-    slope = float(model.axis_derivatives(x)[0][0])
+    z = model.preactivations(x)
+    slope = float(model.axis_derivatives(z)[0][0])
     assert slope < 0.0
-    return model.first_uphill_kink(x, 0, 1.0, slope, room)
+    return model.first_uphill_kink(z, 0, 1.0, slope, room)
 
 
 def test_a_positive_unit_turning_on_stops_the_step_at_its_kink():
@@ -543,15 +546,16 @@ def test_a_unit_at_its_kink_is_not_a_kink_ahead():
     # counts its c = 0.5 (-1 + 0.5), and counting it again at t = 0 would
     # turn the slope to 0 there
     model = plane_model([FALLING, ((1.0, 0.0), 0.0), ((1.0, 0.0), -1.0)], [1.0, 0.5, 2.0])
-    assert model.axis_derivatives(np.zeros(2))[0][0] == -0.5
+    assert model.axis_derivatives(model.preactivations(np.zeros(2)))[0][0] == -0.5
     assert kink_step(model, [0.0, 0.0]) == 1.0
     # moving down, its rate -1 puts its kink at t = -0 / -1 = +0; it turns
     # off there, and counting its c = 1.5 would turn the slope -1 to +0.5
     model = plane_model(
         [((1.0, 0.0), 2.0), ((1.0, 0.0), 0.0), ((-1.0, 0.0), -1.0)], [1.0, 1.5, 2.0]
     )
-    assert model.axis_derivatives(np.zeros(2))[1][0] == -1.0
-    assert model.first_uphill_kink(np.zeros(2), 0, -1.0, -1.0, 4.0) == 1.0
+    z = model.preactivations(np.zeros(2))
+    assert model.axis_derivatives(z)[1][0] == -1.0
+    assert model.first_uphill_kink(z, 0, -1.0, -1.0, 4.0) == 1.0
 
 
 def test_a_unit_the_axis_does_not_move_is_ignored(recwarn):
@@ -559,7 +563,7 @@ def test_a_unit_the_axis_does_not_move_is_ignored(recwarn):
     tilted = [((0.0, 1.0), b) for b in (-0.25, 0.0, 0.25)]
     model = plane_model([FALLING, ((1.0, 0.0), -1.0), *tilted], [1.0, 2.0, 8.0, 8.0, 8.0])
     assert kink_step(model, [0.0, 0.0]) == 1.0
-    assert model.first_uphill_kink(np.zeros(2), 0, -1.0, -1.0, 4.0) == 4.0
+    assert model.first_uphill_kink(model.preactivations(np.zeros(2)), 0, -1.0, -1.0, 4.0) == 4.0
     assert not recwarn.list  # no division by a zero rate
 
 
@@ -601,10 +605,11 @@ def test_the_kink_step_ends_where_the_exact_slope_stops_falling(seed, dim, units
     room = (upper - x[i]) if sign > 0.0 else (x[i] - lower)
     e = np.zeros(dim)
     e[i] = sign
-    slope = model.directional_derivative(x, e)
+    z = model.preactivations(x)
+    slope = model.directional_derivative(z, e)
     if not (room > 0.0 and slope < 0.0):
         return
-    step = model.first_uphill_kink(x, i, sign, slope, room)
+    step = model.first_uphill_kink(z, i, sign, slope, room)
     assert 0.0 < step <= room
     # every kink strictly between 0 and the step, from the dense unit rows
     weights = dense_weights(model)
@@ -612,48 +617,9 @@ def test_the_kink_step_ends_where_the_exact_slope_stops_falling(seed, dim, units
     t = -z[rate != 0.0] / rate[rate != 0.0]
     points = np.unique(np.concatenate([[0.0, step], t[(t > 0.0) & (t < step)]]))
     for mid in (points[:-1] + points[1:]) / 2.0:
-        assert model.directional_derivative(x + mid * e, e) < 0.0
+        assert model.directional_derivative(model.preactivations(x + mid * e), e) < 0.0
     if step < room:
-        assert model.directional_derivative(x + step * e, e) >= 0.0
-
-
-# -- remembered pre-activations --------------------------------------------------
-
-
-def bits(out):
-    """Exact bytes of a method's result: a float, an array or a pair of arrays."""
-    if isinstance(out, tuple):
-        return tuple(bits(part) for part in out)
-    return np.asarray(out, dtype=float).tobytes()
-
-
-def call(model, method, x, direction):
-    if method == "directional_derivative":
-        return getattr(model, method)(x, direction)
-    return getattr(model, method)(x)
-
-
-def test_remembered_preactivations_give_the_cold_results_bit_for_bit():
-    space, _ = make_benchmark("rosenbrock10")
-    model = build_surrogate(space, np.random.default_rng(30))
-    rng = np.random.default_rng(31)
-    model.coeffs[:] = rng.uniform(-1, 1, model.n_units)
-    integral = space.uniform_sample(rng).flatten()  # many units at their kinks
-    nudged = integral.copy()
-    nudged[-1] += 0.5 if nudged[-1] < space.upper[-1] else -0.5  # differs in one coordinate
-    points = [integral, nudged, space.uniform_sample(rng).flatten()]
-    direction = rng.normal(size=space.dim)
-    methods = ("features", "value", "gradient", "directional_derivative", "axis_derivatives")
-    # revisits, evictions and a coefficient update in between
-    sequence = [(m, p) for p in (0, 0, 1, 0, 2, 1, 1, 2, 0) for m in methods]
-    sequence = sequence[::2] + sequence[1::2] + [("update", 1)] + sequence
-    for method, p in sequence:
-        if method == "update":
-            model.rls.update(model.features(points[p]), 3.0)
-            continue
-        cold = from_weights(dense_weights(model), model.biases, model.coeffs)
-        warm_out = call(model, method, points[p], direction)
-        assert bits(warm_out) == bits(call(cold, method, points[p], direction)), (method, p)
+        assert model.directional_derivative(model.preactivations(x + step * e), e) >= 0.0
 
 
 # -- forward products from the distinct unit rows ---------------------------------
@@ -698,10 +664,10 @@ def forward_product_mismatches(seed: int) -> list:
             integral = space.uniform_sample(rng).flatten()
             for x in (rng.uniform(space.lower, space.upper), integral):
                 model.biases = biases
-                check(model._preactivation(x), weights @ x + model.biases)
+                check(model.preactivations(x), weights @ x + model.biases)
             kinked = is_mixed & (rng.random(model.n_units) < 0.5)
             model.biases = np.where(kinked, -(weights @ integral), biases)
-            z = model._preactivation(integral)
+            z = model.preactivations(integral)
             assert np.all(z[kinked] == 0.0)
             check(z, weights @ integral + model.biases)
             axis = np.zeros(space.dim)
@@ -776,7 +742,7 @@ def test_building_the_largest_model_allocates_one_row_array():
     try:
         model = build_surrogate(space, np.random.default_rng(0))
         held, peak = tracemalloc.get_traced_memory()
-        model.axis_derivatives(space.lower)
+        model.axis_derivatives(model.preactivations(space.lower))
         after_axis_move, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -849,6 +815,64 @@ def test_one_pass_build_gives_the_bytes_of_the_concatenated_assembly_on_small_sp
     assert_built_as_concatenated(space, seed)
 
 
+# -- pre-activations and values against a near-exact sum -------------------------
+
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def split(v):
+    """Veltkamp's split of each entry into a 26-bit high part and the rest."""
+    c = 134217729.0 * v  # (2**27 + 1) * v
+    high = c - (c - v)
+    return high, v - high
+
+
+def exact_products(a, b):
+    """(p, e) with p = fl(a * b) and p + e == a * b exactly, entry by entry
+    (Dekker's product; exact while no entry overflows or underflows)."""
+    p = a * b
+    ah, al = split(a)
+    bh, bl = split(b)
+    return p, al * bl - (((p - ah * bh) - al * bh) - ah * bl)
+
+
+def gamma(n: int) -> float:
+    """n u / (1 - n u), which bounds the relative rounding of a sum of n
+    products |fl(a . b) - a . b| / (|a| . |b|) in any order, fused or not."""
+    return n * UNIT_ROUNDOFF / (1.0 - n * UNIT_ROUNDOFF)
+
+
+@pytest.mark.parametrize("name", ["rosenbrock10", "ackley53", "rosenbrock238"])
+def test_preactivations_and_value_are_within_their_rounding_bound_of_an_exact_sum(name):
+    # the reference sums exact products of the dense rows with math.fsum, so
+    # it is the exact result rounded once (u |z| <= u a off); z is dim products
+    # and a bias, the value M products of the coefficients and features
+    space, _ = make_benchmark(name)
+    rng = np.random.default_rng(40)
+    model = build_surrogate(space, rng)
+    model.coeffs[:] = rng.uniform(-1.0, 1.0, model.n_units)
+    weights, biases, coeffs = dense_weights(model), model.biases, model.coeffs
+    u = UNIT_ROUNDOFF
+    points = [rng.uniform(space.lower, space.upper) for _ in range(2)]
+    points += [space.uniform_sample(rng).flatten() for _ in range(2)]  # integral
+    for x in points:
+        p, e = exact_products(weights, x)
+        z_exact = np.array([math.fsum(row) for row in np.hstack([p, e, biases[:, None]]).tolist()])
+        # a = |w| . |x| + |b| is itself rounded, so it is raised by its own bound
+        a = (np.abs(weights) @ np.abs(x) + np.abs(biases)) * (1.0 + gamma(model.dim + 1))
+        z_bound = (gamma(model.dim + 1) + u) * a
+        z = model.preactivations(x)
+        assert np.all(np.abs(z - z_exact) <= z_bound), name
+        p, e = exact_products(coeffs, np.maximum(z_exact, 0.0))
+        value_exact = math.fsum([*p, *e])
+        value_bound = (
+            gamma(model.n_units) * (np.abs(coeffs) @ np.maximum(z, 0.0))
+            + np.abs(coeffs) @ z_bound
+            + u * abs(value_exact)
+        ) * (1.0 + gamma(model.n_units + 1))
+        assert abs(model.value(z) - value_exact) <= value_bound, name
+
+
 # -- transpose products from the distinct unit rows -------------------------------
 
 
@@ -880,11 +904,10 @@ def transpose_product_cases(seed: int):
             yield name, model, integral
 
 
-def dense_transpose_products(model, x):
+def dense_transpose_products(model, z):
     """The gradient and axis derivatives from products with the dense weights,
-    at the model's own pre-activations."""
+    at the model's own pre-activations ``z``."""
     w = dense_weights(model)
-    z = model._preactivation(x)
     slope = np.where(z > 0.0, 1.0, np.where(z < 0.0, 0.0, 0.5))
     base = w.T @ (model.coeffs * (z > 0.0))
     kink = z == 0.0
@@ -899,11 +922,12 @@ def test_transpose_products_match_the_dense_products():
     points_at_kinks = {}
     for name, model, x in transpose_product_cases(0):
         scale = np.abs(dense_weights(model)).T @ np.abs(model.coeffs)
-        got = (model.gradient(x), *model.axis_derivatives(x))
-        expected = dense_transpose_products(model, x)
+        z = model.preactivations(x)
+        got = (model.gradient(z), *model.axis_derivatives(z))
+        expected = dense_transpose_products(model, z)
         for part, g, e in zip(("gradient", "up", "down"), got, expected):
             assert np.all(np.abs(g - e) <= 1e-14 * scale), (name, part)
-        at_kink = np.any(model._preactivation(x) == 0.0)
+        at_kink = np.any(z == 0.0)
         points_at_kinks[name] = points_at_kinks.get(name, 0) + int(at_kink)
     assert sorted(points_at_kinks) == ["ackley53", "hand-built", "rosenbrock10", "rosenbrock238"]
     assert min(points_at_kinks.values()) > 0
@@ -914,12 +938,13 @@ def test_axis_derivatives_match_directional_derivatives_at_benchmark_size():
     cases = [(model, x) for name, model, x in transpose_product_cases(1) if name == "ackley53"]
     for model, x in cases:
         scale = np.abs(dense_weights(model)).T @ np.abs(model.coeffs)
-        up, down = model.axis_derivatives(x)
+        z = model.preactivations(x)
+        up, down = model.axis_derivatives(z)
         for i in range(model.dim):
             e = np.zeros(model.dim)
             e[i] = 1.0
-            assert abs(up[i] - model.directional_derivative(x, e)) <= 1e-14 * scale[i]
-            assert abs(down[i] - model.directional_derivative(x, -e)) <= 1e-14 * scale[i]
+            assert abs(up[i] - model.directional_derivative(z, e)) <= 1e-14 * scale[i]
+            assert abs(down[i] - model.directional_derivative(z, -e)) <= 1e-14 * scale[i]
 
 
 def test_unit_rows_are_read_only():
@@ -929,24 +954,40 @@ def test_unit_rows_are_read_only():
             getattr(model, name)[1] = 0
 
 
+def bits(out):
+    """Exact bytes of a method's result: a float, an array or a pair of arrays."""
+    if isinstance(out, tuple):
+        return tuple(bits(part) for part in out)
+    return np.asarray(out, dtype=float).tobytes()
+
+
+def call(model, method, z, direction):
+    if method == "directional_derivative":
+        return getattr(model, method)(z, direction)
+    return getattr(model, method)(z)
+
+
 @pytest.mark.parametrize("attribute", ["rows", "biases"])
 def test_reassigned_unit_rows_are_used_at_once(attribute):
     model = build_surrogate(one_cont_two_int(), np.random.default_rng(0))
     x = np.array([0.3, 1.0, 2.0])  # integral: integer units at their kinks
     direction = np.array([0.5, -1.0, 1.0])
-    before = model.features(x)
-    model.axis_derivatives(x)
+    before = model.features(model.preactivations(x))
+    model.axis_derivatives(model.preactivations(x))
     setattr(model, attribute, getattr(model, attribute) * 2.0)
-    after = model.features(x)
+    z = model.preactivations(x)
+    after = model.features(z)
     assert not np.array_equal(after, before)
     assert np.array_equal(after, np.maximum(dense_weights(model) @ x + model.biases, 0.0))
     assert not getattr(model, attribute).flags.writeable
     # every product, the kink terms of axis_derivatives included, follows the
     # new rows as in a model built from them
     fresh = ReluSurrogate(model.rows, model.row_of, model.biases, model.coeffs)
+    fresh_z = fresh.preactivations(x)
+    assert bits(z) == bits(fresh_z)
     for method in ("value", "gradient", "directional_derivative", "axis_derivatives"):
-        expected = call(fresh, method, x, direction)
-        assert bits(call(model, method, x, direction)) == bits(expected), method
+        expected = call(fresh, method, fresh_z, direction)
+        assert bits(call(model, method, z, direction)) == bits(expected), method
 
 
 # -- vertex enumeration ----------------------------------------------------------
