@@ -74,6 +74,8 @@ class ReluSurrogate:
     are padded with zero rows to whole groups, the last M mod 4 units get
     their own copies at the very end, and a row and its negation are stored
     apart (folding the sign would turn a +0 product into -0).
+    ``preactivations`` and ``value`` also take a stack of points (or of their
+    z), one row each, and give each row the bytes of the call on it alone.
 
     The transpose products weights.T @ u of ``gradient`` and
     ``axis_derivatives`` sum u over the units of each row (a bincount, in
@@ -118,17 +120,24 @@ class ReluSurrogate:
         return self.rows.shape[1]
 
     def _forward(self, v: np.ndarray) -> np.ndarray:
-        """weights @ v, formed from the distinct unit rows with the same bits."""
-        return (self.rows @ v).take(self.row_of)
+        """weights @ v, row by row for an (n, dim) stack, formed from the
+        distinct unit rows with the same bits (one gemv per row, not a gemm)."""
+        if v.ndim == 1:
+            return (self.rows @ v)[self.row_of]
+        return (self.rows @ v[:, :, None])[:, :, 0].take(self.row_of, axis=1)
 
     def _per_row(self, u: np.ndarray) -> np.ndarray:
         """u summed over the units of each distinct row, in unit order."""
         return np.bincount(self.row_of, weights=u, minlength=len(self.rows))
 
     def preactivations(self, x) -> np.ndarray:
-        """Read-only z = weights @ x + biases, what the other methods take for x."""
+        """Read-only z = weights @ x + biases, what the other methods take for x.
+
+        ``x`` is one point or an (n, dim) stack of them; each row of a stack's
+        z has the bytes of the call on that row alone.
+        """
         x = np.asarray(x, dtype=float)
-        if x.shape != self.rows.shape[1:]:
+        if x.shape[-1:] != self.rows.shape[1:] or x.ndim not in (1, 2):
             raise DimensionMismatchError(f"point of shape {x.shape}, model dim {self.dim}")
         z = self._forward(x)
         z += self.biases
@@ -139,13 +148,25 @@ class ReluSurrogate:
         """Unit activations phi_k(x) = max(0, z_k)."""
         return np.maximum(z, 0.0)
 
-    def value(self, z) -> float:
-        return float(self.coeffs.dot(self.features(z)))
+    def value(self, z):
+        """The value at one point's z, or an array of values for a stack of z
+        as ``preactivations`` gives it (one dot product per row, same bits)."""
+        features = self.features(z)
+        if features.ndim == 1:
+            return float(self.coeffs.dot(features))
+        return (features[:, None, :] @ self.coeffs[:, None])[:, 0, 0]
 
     def gradient(self, z) -> np.ndarray:
-        """Subgradient sum_k c_k s(z_k) w_k with s = 1 above the kink, 0 below, 1/2 at it."""
-        slope = np.where(z > 0.0, 1.0, np.where(z < 0.0, 0.0, 0.5))
-        return self.rows.T @ self._per_row(self.coeffs * slope)
+        """Subgradient sum_k c_k s(z_k) w_k with s = 1 above the kink, 0 below, 1/2 at it.
+
+        s = (sign(z) + 1) / 2, so a NaN in z gives a NaN gradient; its value
+        is NaN too, which the descent rejects before it forms a gradient.
+        """
+        slope = np.sign(z)
+        slope += 1.0
+        slope *= 0.5
+        slope *= self.coeffs
+        return self.rows.T @ self._per_row(slope)
 
     def directional_derivative(self, z, direction: np.ndarray) -> float:
         """Exact one-sided derivative of the model along ``direction`` at the
@@ -182,7 +203,7 @@ class ReluSurrogate:
             self._kink_parts = np.maximum(self.rows, 0.0), np.maximum(down, 0.0, out=down)
         rows_up, rows_down = self._kink_parts
         base = self.rows.T @ self._per_row(self.coeffs * (z > 0.0))
-        c_kink = self._per_row(np.where(z == 0.0, self.coeffs, 0.0))
+        c_kink = self._per_row(self.coeffs * (z == 0.0))
         return base + rows_up.T @ c_kink, -base + rows_down.T @ c_kink
 
     def first_uphill_kink(self, z, i: int, sign: float, slope: float, room: float) -> float:

@@ -173,7 +173,8 @@ def test_descends_from_integral_points_of_built_surrogates():
 
 
 class CountingProducts(np.ndarray):
-    """Unit rows that log the bytes of every right operand of ``rows @ v``.
+    """Unit rows that log the bytes of every vector v of ``rows @ v``, one
+    entry per vector of a stacked (n, dim, 1) operand.
 
     Only the array given a ``log`` counts; its transpose and slices do not.
     """
@@ -181,7 +182,7 @@ class CountingProducts(np.ndarray):
     def __matmul__(self, other):
         log = getattr(self, "log", None)
         if log is not None:
-            log.append(np.asarray(other).tobytes())
+            log.extend(v.tobytes() for v in np.asarray(other).reshape(-1, self.shape[1]))
         return super().__matmul__(other)
 
 
@@ -199,6 +200,7 @@ def test_descent_forms_each_points_preactivations_once():
     rows.log = []
     model.rows = rows
     points = []
+    stacks = []
     calls = []
     for name in (
         "preactivations", "features", "value", "gradient",
@@ -209,7 +211,9 @@ def test_descent_forms_each_points_preactivations_once():
         def recording(*args, _method=method, _name=name):
             calls.append(_name)
             if _name == "preactivations":
-                points.append(np.asarray(args[0], dtype=float).tobytes())
+                stack = np.asarray(args[0], dtype=float).reshape(-1, model.dim)
+                points.extend(x.tobytes() for x in stack)
+                stacks.append(len(stack))
             return _method(*args)
 
         setattr(model, name, recording)
@@ -224,9 +228,11 @@ def test_descent_forms_each_points_preactivations_once():
         res = minimize(model, space, best)
     assert res.iterations > 5
     # z once per distinct point: the start and each line-search trial, whose
-    # value is taken from it; an accepted trial's z serves the next iterate
+    # value is taken from it; an accepted trial's z serves the next iterate.
+    # A stacked round of trials is one call, which forms each trial's z once.
+    assert max(stacks) > 1
     assert len(points) == len(set(points))
-    assert calls.count("value") == len(points)
+    assert calls.count("value") == len(stacks)
     assert calls.count("gradient") == 1 + sum(accepted)
     # a trial rejected on its value is followed by the next trial
     # (``value`` calls ``features`` itself)
@@ -286,11 +292,24 @@ def test_line_search_matches_the_rule_that_forms_every_slope(
     lower, upper = np.full(dim, -2.0), np.full(dim, 2.0)
     x = rng.integers(-2, 3, size=dim).astype(float) if integral else rng.uniform(-2, 2, dim)
     direction = rng.normal(size=dim)
+    f = value_at(model, x)
+    assert_line_search_matches_reference(model, x, f, direction, alpha, lower, upper)
+
+
+def assert_line_search_matches_reference(model, x, f, direction, alpha, lower, upper):
+    """The line search's step from ``x``, checked bit for bit against the
+    reference rule's, with the number of trial points whose z it formed."""
     z = model.preactivations(x)
-    f = model.value(z)
-    args = (f, direction, alpha, lower, upper)
-    got = _line_search(model, x, z, *args)
-    expected = reference_line_search(model, x, *args, boxmin.STEP_TOL)
+    formed = []
+    forward = model.preactivations
+
+    def counting(points):
+        formed.append(len(np.atleast_2d(points)))
+        return forward(points)
+
+    with patch.object(model, "preactivations", counting):
+        got = _line_search(model, x, z, f, direction, alpha, lower, upper)
+    expected = reference_line_search(model, x, f, direction, alpha, lower, upper, boxmin.STEP_TOL)
     if expected is None:
         assert got is None
     else:
@@ -298,6 +317,67 @@ def test_line_search_matches_the_rule_that_forms_every_slope(
         assert got[0].tobytes() == expected[0].tobytes()
         assert got[1].tobytes() == model.preactivations(got[0]).tobytes()
         assert got[2:] == expected[1:]
+    return got, sum(formed)
+
+
+# |x - 1| from x = 0 in [-1, 4]: a trial step of 1.5 passes, and every step of
+# 3 or more rises (steps of 4 or more are all clipped to the same point)
+V_SHAPE = [(1, -1), (-1, 1)]
+LINE = (np.array([-1.0]), np.array([4.0]))
+
+
+@pytest.mark.parametrize("accepted", [1, 2, 3, 4, 5, 6, 7, 10, 14, 15, 22, 30])
+def test_line_search_takes_the_first_passing_trial_of_its_round(accepted):
+    # every position in a round: single trials, a stacked round's first,
+    # middle and last trial, and the last trial of the ladder
+    model = scalar_model(V_SHAPE, [1.0, 1.0])
+    alpha = 1.5 * 2.0 ** (accepted - 1)
+    step, _ = assert_line_search_matches_reference(
+        model, np.array([0.0]), 1.0, np.array([1.0]), alpha, *LINE
+    )
+    assert step[0][0] == 1.5
+
+
+def test_line_search_runs_all_its_trials_when_none_passes():
+    # from the minimum of |x - 1| every trial rises
+    model = scalar_model(V_SHAPE, [1.0, 1.0])
+    step, formed = assert_line_search_matches_reference(
+        model, np.array([1.0]), 0.0, np.array([1.0]), 8.0, *LINE
+    )
+    assert step is None
+    assert formed == MAX_BACKTRACKS == sum(boxmin.ROUNDS)
+
+
+@pytest.mark.parametrize("last_long", [1, 2, 3, 4, 5, 6, 9, 14, 20, 29])
+def test_line_search_stops_at_its_first_step_shorter_than_step_tol(last_long):
+    # |x - m| from x = 0 with m = 0.6e-12: trial steps of 1.6e-12 and more
+    # rise, and the next trial, a step of 0.8e-12, would pass but is shorter
+    # than STEP_TOL; the cut falls in every round
+    m = 0.6e-12
+    model = scalar_model([(1, -m), (-1, m)], [1.0, 1.0])
+    alpha = 1.6e-12 * 2.0 ** (last_long - 1)
+    step, formed = assert_line_search_matches_reference(
+        model, np.array([0.0]), m, np.array([1.0]), alpha, *LINE
+    )
+    assert step is None
+    assert formed >= last_long
+
+
+@pytest.mark.parametrize("non_finite", [2, 3, 4, 5, 8, 16, 30])
+def test_line_search_raises_at_its_first_non_finite_trial(non_finite):
+    # 1e308 max(0, 2 - x) overflows for x < 0.2: from x = 0, trial steps of 0.3
+    # and more give finite values and a step of 0.15 does not. f is below
+    # every finite value (the rule reads f only in comparisons), so each trial
+    # before the non-finite one rises, and no slope is formed
+    model = scalar_model([(-1, 2)], [1e308])
+    alpha = 0.15 * 2.0 ** (non_finite - 1)
+    x = np.array([0.0])
+    args = (-1.0, np.array([1.0]), alpha, np.array([-1.0]), np.array([2.0**30]))
+    with np.errstate(over="ignore"):
+        with pytest.raises(NonFiniteError):
+            reference_line_search(model, x, *args, boxmin.STEP_TOL)
+        with pytest.raises(NonFiniteError):
+            _line_search(model, x, model.preactivations(x), *args)
 
 
 def reference_minimize(model, space, start, kink_steps=None):

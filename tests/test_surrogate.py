@@ -26,6 +26,9 @@ from handbuilt import concatenated_build, dense_weights, from_weights, scalar_mo
 from vertices import TooLargeError, enumerate_vertices
 
 
+BENCHMARKS = ["rosenbrock10", "ackley53", "rosenbrock238"]
+
+
 def int_space(*bounds):
     return SearchSpace(tuple(VariableSpec("integer", lo, up) for lo, up in bounds))
 
@@ -397,6 +400,15 @@ def test_gradient_all_units_inactive():
     assert model.gradient(model.preactivations(np.array([0.5]))).tolist() == [0.0]
 
 
+def test_a_nan_preactivation_gives_a_nan_gradient_and_value():
+    # the slope (sign(z) + 1) / 2 carries a NaN on; the value is NaN as well,
+    # and the descent rejects a non-finite value before it forms a gradient
+    model = scalar_model([(1, -1), (-1, 2)], [1, 2])
+    z = np.array([np.nan, 1.0])
+    assert np.isnan(model.gradient(z)).all()
+    assert math.isnan(model.value(z))
+
+
 @pytest.mark.parametrize(
     "rows, row_of, biases, coeffs",
     [
@@ -414,8 +426,9 @@ def test_inconsistent_unit_rows_rejected(rows, row_of, biases, coeffs):
 
 def test_dimension_mismatch_on_evaluation():
     model = scalar_model([(1, 0)], [1])
-    with pytest.raises(DimensionMismatchError):
-        model.preactivations(np.zeros(2))
+    for points in (np.zeros(2), np.zeros((3, 2)), np.zeros((2, 3, 1)), np.float64(0.0)):
+        with pytest.raises(DimensionMismatchError):
+            model.preactivations(points)
     with pytest.raises(DimensionMismatchError):
         model.directional_derivative(model.preactivations(np.zeros(1)), np.zeros(2))
 
@@ -689,6 +702,56 @@ def test_distinct_row_products_equal_the_dense_products_byte_for_byte():
         assert compared > 0 and differing == 0, (name, compared, differing)
 
 
+def stacked_mismatches(seed: int) -> list:
+    """[model, rows compared, rows whose z or value bytes differ from the call
+    on that row alone] for stacks of 1 to 16 points.
+
+    Covers the three benchmark models (M = 221, 525, 6629) and one built model
+    per M mod 4 = 0, 1, 2 and 3, with random coefficients. Each stack is an
+    integral point, whose zero coordinates are made -0.0, followed by points
+    along a long random direction from it, clipped into the box.
+    """
+    rng = np.random.default_rng(seed)
+    spaces = [(name, make_benchmark(name)[0]) for name in BENCHMARKS]
+    for variables, tail in LAYOUT_CASES[:4]:
+        spaces.append((f"M mod 4 = {tail}", SearchSpace(tuple(VariableSpec(*v) for v in variables))))
+    report = []
+    for name, space in spaces:
+        model = build_surrogate(space, rng)
+        model.coeffs[:] = rng.uniform(-1.0, 1.0, model.n_units)
+        compared = differing = 0
+        for n in range(1, 17):
+            x = space.uniform_sample(rng).flatten()
+            direction = rng.normal(size=space.dim) * (space.upper - space.lower)
+            steps = np.concatenate([[0.0], 2.0 ** -np.arange(n - 1)])
+            stack = (x + steps[:, None] * direction).clip(space.lower, space.upper)
+            stack[stack == 0.0] = -0.0
+            z = model.preactivations(stack)
+            values = model.value(z)
+            assert z.shape == (n, model.n_units) and values.shape == (n,)
+            for point, row, value in zip(stack, z, values):
+                alone = model.preactivations(point)
+                compared += 1
+                value_bytes = np.float64(model.value(alone)).tobytes()
+                differing += int(alone.tobytes() != row.tobytes() or value_bytes != value.tobytes())
+        assert np.signbit(stack[stack == 0.0]).all()
+        report.append([name, compared, differing])
+    return report
+
+
+@pytest.mark.parametrize("one_thread", [False, True])
+def test_stacked_points_give_the_bytes_of_the_calls_on_each_point(one_thread):
+    # the stack's products are one matrix-vector product and one dot product
+    # per point; under one BLAS thread too, the setting of the golden traces
+    if one_thread:
+        report = one_blas_thread.call("test_surrogate", "stacked_mismatches", 0)
+    else:
+        report = stacked_mismatches(0)
+    assert len(report) == 7
+    for name, compared, differing in report:
+        assert compared == 136 and differing == 0, (name, compared, differing)
+
+
 def test_distinct_rows_reproduce_the_unit_rows():
     # the builder's closed-form layout and the generic one of a hand-built
     # model both satisfy rows[row_of] == weights, with the last M mod 4 units
@@ -873,6 +936,78 @@ def test_preactivations_and_value_are_within_their_rounding_bound_of_an_exact_su
         assert abs(model.value(z) - value_exact) <= value_bound, name
 
 
+def rounded_sums(*parts):
+    """The exact sum of each row of the parts laid side by side, rounded once."""
+    return np.array([math.fsum(row) for row in np.hstack(parts).tolist()])
+
+
+def oracle_cases(name, seed):
+    """(space, model, generator, points) for a benchmark model with random
+    coefficients: a random point and an integral one, where the integer units
+    sit on their kinks."""
+    space, _ = make_benchmark(name)
+    rng = np.random.default_rng(seed)
+    model = build_surrogate(space, rng)
+    model.coeffs[:] = rng.uniform(-1.0, 1.0, model.n_units)
+    points = [rng.uniform(space.lower, space.upper), space.uniform_sample(rng).flatten()]
+    return space, model, rng, points
+
+
+@pytest.mark.parametrize("name", BENCHMARKS)
+def test_one_sided_derivatives_are_within_their_rounding_bound_of_an_exact_sum(name):
+    # along d the exact slope is sum_k c_k s_k, s_k = r_k above the kink,
+    # max(r_k, 0) at it and 0 below, with r = W d. The reference takes the
+    # side from the model's own z and r rounded once (rho), and sums exact
+    # products with math.fsum. The model's rate is within gamma_dim |W||d| of
+    # r, and s is 1-Lipschitz in r; its dot product adds gamma_M |c||s|
+    space, model, rng, points = oracle_cases(name, 41)
+    weights, coeffs = dense_weights(model), model.coeffs
+    m, dim = model.n_units, model.dim
+    at_kinks = 0
+    for x in points:
+        z = model.preactivations(x)
+        above, at = z > 0.0, z == 0.0
+        at_kinks += int(at.any())
+        clipped_step = np.clip(x + rng.normal(size=dim), space.lower, space.upper) - x
+        for d in (rng.normal(size=dim), clipped_step):
+            rho = rounded_sums(*exact_products(weights, d))
+            s_ref = np.where(above, rho, np.where(at, np.maximum(rho, 0.0), 0.0))
+            exact = math.fsum(np.concatenate(exact_products(coeffs, s_ref)))
+            rate = model._forward(d)
+            s_model = np.where(above, rate, np.where(at, np.maximum(rate, 0.0), 0.0))
+            # |W||d| is itself rounded, so it is raised by its own bound
+            a = (np.abs(weights) @ np.abs(d)) * (1.0 + gamma(dim))
+            rate_bound = gamma(dim) * a + gamma(1) * np.abs(rho)
+            bound = (
+                gamma(m) * (np.abs(coeffs) @ np.abs(s_model))
+                + np.abs(coeffs) @ np.where(above | at, rate_bound, 0.0)
+                + gamma(1) * abs(exact)
+            ) * (1.0 + gamma(m + 1))
+            assert abs(model.directional_derivative(z, d) - exact) <= bound, name
+    assert at_kinks > 0
+
+
+@pytest.mark.parametrize("name", BENCHMARKS)
+def test_axis_derivatives_are_within_their_rounding_bound_of_an_exact_sum(name):
+    # along +-e_i the rate is W_ki exactly, so the exact slopes are sums of
+    # exact products. The model sums c over the units of each of its K rows
+    # (gamma_M) and then multiplies by the rows (gamma_K), for the part above
+    # the kinks and the part at them, and adds the two parts (u)
+    _, model, _, points = oracle_cases(name, 42)
+    weights, coeffs = dense_weights(model), model.coeffs
+    m, k = model.n_units, len(model.rows)
+    for x in points:
+        z = model.preactivations(x)
+        above, at = (z > 0.0)[:, None], (z == 0.0)[:, None]
+        up_down = model.axis_derivatives(z)
+        for side, got in zip((weights, -weights), up_down):
+            slopes = np.where(above, side, np.where(at, np.maximum(side, 0.0), 0.0))
+            exact = rounded_sums(*(part.T for part in exact_products(coeffs[:, None], slopes)))
+            scale = np.abs(coeffs) @ np.where(above | at, np.abs(slopes), 0.0)
+            bound = (gamma(m + k + 1) * scale + gamma(2) * np.abs(exact)) * (1.0 + gamma(m + 1))
+            assert np.all(np.abs(got - exact) <= bound), name
+
+
 # -- transpose products from the distinct unit rows -------------------------------
 
 
@@ -931,6 +1066,24 @@ def test_transpose_products_match_the_dense_products():
         points_at_kinks[name] = points_at_kinks.get(name, 0) + int(at_kink)
     assert sorted(points_at_kinks) == ["ackley53", "hand-built", "rosenbrock10", "rosenbrock238"]
     assert min(points_at_kinks.values()) > 0
+
+
+def test_unit_weightings_give_the_bytes_of_their_where_forms():
+    # gradient weights unit k by c_k (sign(z_k) + 1) / 2 and axis_derivatives
+    # the kinked units by c_k (z_k == 0); against the np.where spellings the
+    # per-unit weights differ only in the sign of zeros, which the per-row
+    # sums (from +0) do not keep
+    for name, model, x in transpose_product_cases(2):
+        z = model.preactivations(x)
+        slope = np.where(z > 0.0, 1.0, np.where(z < 0.0, 0.0, 0.5))
+        gradient = model.rows.T @ model._per_row(model.coeffs * slope)
+        assert model.gradient(z).tobytes() == gradient.tobytes(), name
+        base = model.rows.T @ model._per_row(model.coeffs * (z > 0.0))
+        kinked = model._per_row(np.where(z == 0.0, model.coeffs, 0.0))
+        up = base + np.maximum(model.rows, 0.0).T @ kinked
+        down = -base + np.maximum(-model.rows, 0.0).T @ kinked
+        got = model.axis_derivatives(z)
+        assert (got[0].tobytes(), got[1].tobytes()) == (up.tobytes(), down.tobytes()), name
 
 
 def test_axis_derivatives_match_directional_derivatives_at_benchmark_size():
