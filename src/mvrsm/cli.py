@@ -25,7 +25,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .boxmin import MAX_ITERS
 from .driver import MvrsmOptimizer, OptimizerConfig, RandomSearch, read_trace_csv
 from .errors import (
     ConfigError,
@@ -172,10 +171,12 @@ def _validate_config(raw: dict, where: str) -> ExperimentConfig:
     seeds = raw.get("seeds")
     if not isinstance(seeds, list) or not seeds:
         _fail(where, "'seeds' must be a non-empty list of integers >= 0")
-    budget, init_samples = raw.get("budget"), raw.get("init_samples", 24)
-    max_iters = raw.get("boxmin_max_iters", MAX_ITERS)
+    # a setting the config leaves out takes OptimizerConfig's default
+    given = {"init_samples": "init_samples", "max_iters": "boxmin_max_iters"}
+    settings = {name: raw[key] for name, key in given.items() if key in raw}
     runs = tuple(
-        _build(where, OptimizerConfig, budget, init_samples, seed, max_iters) for seed in seeds
+        _build(where, OptimizerConfig, raw.get("budget"), rng_seed=seed, **settings)
+        for seed in seeds
     )
     if len(set(seeds)) != len(seeds):
         _fail(where, "'seeds' must not repeat")

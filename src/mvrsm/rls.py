@@ -37,7 +37,7 @@ class RecursiveLeastSquares:
     reference to ``coeffs`` (the surrogate model does) and see every update.
     """
 
-    def __init__(self, c0, lam: float = 1e-8):
+    def __init__(self, c0, lam: float):
         if not lam > 0.0:
             raise InvalidSettingError("lam", f"regulariser must be > 0, got {lam!r}")
         self.coeffs = np.asarray(c0, dtype=float)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidSettingError
+from .errors import DimensionMismatchError
 from .rls import RecursiveLeastSquares
 from .space import SearchSpace
 
@@ -306,8 +306,8 @@ def _raw_to_double(words: np.ndarray) -> np.ndarray:
 
 def _index_then_double(rng: RandomStream, n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     """What ``count`` pairs of scalar calls ``rng.integers(n)``, ``rng.random()``
-    return (1 <= n < 2**32), as (indices, doubles), read at once from the bit
-    generator's raw 64-bit words. The generator is left as those calls leave it.
+    return (1 <= n < 2**32), as (indices, doubles). The generator is left as
+    those calls leave it.
 
     numpy draws ``integers(n)`` by Lemire's method on one 32-bit draw x: it
     returns (x * n) >> 32, and draws x again while (x * n) mod 2**32 is below
@@ -315,52 +315,30 @@ def _index_then_double(rng: RandomStream, n: int, count: int) -> tuple[np.ndarra
     high half of the last raw word when that half is buffered (``has_uint32``
     in the bit generator's state), else the low half of a new word, buffering
     its high half. ``random()`` takes a new word and leaves the buffer alone.
-    So a unit takes a new word for its index every other unit. A unit whose
-    x is drawn again is redone with the scalar calls, and the replay goes on
-    after it.
+    So from an empty buffer each two units read three words: the first holds
+    both indices, one in each half, and each unit's double is one word. Those
+    pairs are read at once. A buffered half, a bit generator without a 32-bit
+    buffer (MT19937) or an x drawn again takes the pairs from the scalar calls.
     """
     bit_generator = rng.bit_generator
-    if "has_uint32" not in bit_generator.state:
-        raise InvalidSettingError(
-            "rng",
-            f"must buffer 32-bit draws (PCG64, PCG64DXSM, Philox or SFC64), "
-            f"not {type(bit_generator).__name__}",
-        )
-    if n == 1:
-        return np.zeros(count, dtype=np.int64), _raw_to_double(bit_generator.random_raw(count))
-    picks, doubles = [np.empty(0, dtype=np.int64)], [np.empty(0)]
-    while count:
-        state = bit_generator.state
-        k = np.arange(count)
-        # the units that take a new word for their index
-        fresh = (k + state["has_uint32"]) % 2 == 0
-        # word 0 holds the buffered half; each unit's double is the word after
-        # its index's word, or two after it when it uses the buffered half
-        words = np.concatenate(
-            [np.array([state["uinteger"] << 32], dtype=np.uint64),
-             bit_generator.random_raw(count + fresh.sum())]
-        )
-        double_at = 1 + k + np.cumsum(fresh)
-        held = words[np.maximum(double_at - 1 - ~fresh, 0)]
-        scaled = np.where(fresh, held & 0xFFFFFFFF, held >> 32) * np.uint64(n)
-        redrawn = np.flatnonzero((scaled & 0xFFFFFFFF) < (2**32 - n) % n)
-        done = redrawn[0] if len(redrawn) else count
-        picks.append((scaled[:done] >> 32).astype(np.int64))
-        doubles.append(_raw_to_double(words[double_at[:done]]))
-        if done < count:  # back to the end of the units kept
-            bit_generator.state = state
-            bit_generator.random_raw(double_at[done - 1] if done else 0)
-        if done:  # the buffer as the scalar calls leave it, a used half included
-            state = bit_generator.state
-            state["has_uint32"] = (state["has_uint32"] + done) % 2
-            state["uinteger"] = int(held[done - 1]) >> 32
-            bit_generator.state = state
-        if done == count:
-            break
-        picks.append(np.array([rng.integers(n)]))
-        doubles.append(np.array([rng.random()]))
-        count -= done + 1
-    return np.concatenate(picks), np.concatenate(doubles)
+    state = bit_generator.state
+    if count and state.get("has_uint32") == 0:
+        if n == 1:
+            return np.zeros(count, dtype=np.int64), _raw_to_double(bit_generator.random_raw(count))
+        words = bit_generator.random_raw(count + (count + 1) // 2)
+        held = words[::3]
+        scaled = np.stack([held & 0xFFFFFFFF, held >> 32], axis=1).ravel()[:count] * np.uint64(n)
+        if not np.any((scaled & 0xFFFFFFFF) < (2**32 - n) % n):
+            # the buffer as the scalar calls leave it
+            after = bit_generator.state
+            after["has_uint32"], after["uinteger"] = count % 2, int(held[-1] >> 32)
+            bit_generator.state = after
+            return (scaled >> 32).astype(np.int64), _raw_to_double(np.delete(words, np.s_[::3]))
+        bit_generator.state = state
+    picks, doubles = np.zeros(count, dtype=np.int64), np.empty(count)
+    for k in range(count):
+        picks[k], doubles[k] = rng.integers(n), rng.random()
+    return picks, doubles
 
 
 def _draw_mixed_units(
@@ -373,8 +351,8 @@ def _draw_mixed_units(
     over the box, any bias in [-hi, -lo] puts the zero level set of
     w . x + bias inside the box; the bias is drawn uniformly from that range.
     The stream is that of one ``rng.integers(len(directions))`` and then one
-    ``rng.uniform(-hi, -lo)`` per unit, in unit order; it is replayed from the
-    bit generator's raw words by ``_index_then_double``, with the same bits.
+    ``rng.uniform(-hi, -lo)`` per unit, in unit order, with the bits of those
+    calls; ``_index_then_double`` reads the pairs.
     """
     picks, u = _index_then_double(rng, len(directions), count)
     min_corners, max_corners = corner_points(space, directions)
@@ -396,10 +374,9 @@ def build_surrogate(space: SearchSpace, rng: RandomStream) -> ReluSurrogate:
     for the constant and integer units (a separable bowl whose minima sit on
     integer points) and 0 for the mixed units.
 
-    ``rng`` gives the directions, then one direction index and one bias per
-    mixed unit; the pairs are replayed from its raw words, so its bit
-    generator must buffer 32-bit draws (MT19937 does not, and raises
-    ``InvalidSettingError``). A space with no continuous variable draws nothing.
+    ``rng``, any ``Generator``, gives the directions, then one direction index
+    and one bias per mixed unit, as the scalar calls would. A space with no
+    continuous variable draws nothing.
     The distinct rows, the integer block's and then the used directions, are
     written once, into the one array of ``_grouped_rows``' layout.
     """

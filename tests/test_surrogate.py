@@ -3,6 +3,7 @@
 import collections
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import one_blas_thread
-from mvrsm.errors import DimensionMismatchError, InvalidSettingError
+from mvrsm.errors import DimensionMismatchError
 from mvrsm.objectives import make_benchmark
 from mvrsm.space import SearchSpace, VariableSpec
 from mvrsm.surrogate import (
@@ -42,6 +43,21 @@ def one_cont_two_int():
             VariableSpec("integer", 0, 2),
         )
     )
+
+
+def three_cont_one_int():
+    """Three continuous variables on [-1, 2], so three directions, and one integer on {0..2}."""
+    return SearchSpace(
+        tuple(VariableSpec("continuous", -1.0, 2.0) for _ in range(3))
+        + (VariableSpec("integer", 0, 2),)
+    )
+
+
+# every bit generator numpy ships: all but MT19937 buffer the high half of a
+# raw word for the next 32-bit draw
+GENERATORS = [
+    np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64, np.random.MT19937
+]
 
 
 def dense_integer_units(space):
@@ -170,23 +186,22 @@ def test_mixed_unit_weights_come_from_the_direction_set():
         assert any(np.array_equal(w, d) for d in dirs)
 
 
-def test_mixed_units_draw_one_index_then_one_bias_per_unit():
+@pytest.mark.parametrize("bit_generator", GENERATORS)
+def test_mixed_units_draw_one_index_then_one_bias_per_unit(bit_generator):
     # the random stream layout is part of every seeded trace: per unit, one
     # direction index and then one bias, in unit order (several directions,
     # since drawing an index among one consumes nothing from the stream)
-    space = SearchSpace(
-        tuple(VariableSpec("continuous", -1.0, 2.0) for _ in range(3))
-        + (VariableSpec("integer", 0, 2),)
-    )
+    space = three_cont_one_int()
     dirs = sample_directions(space, np.random.default_rng(3))
     assert len(dirs) == 3
-    picks, biases = _draw_mixed_units(space, dirs, 40, np.random.default_rng(4))
-    ref = np.random.default_rng(4)
+    rng, ref = (np.random.Generator(bit_generator(4)) for _ in range(2))
+    picks, biases = _draw_mixed_units(space, dirs, 40, rng)
     for w, b in zip(dirs[picks], biases):
         d = dirs[ref.integers(len(dirs))]
         q1, q2 = corner_points(space, d)
         assert w.tobytes() == d.tobytes()
         assert b == ref.uniform(-float(d @ q2), -float(d @ q1))
+    assert rng.random() == ref.random()
 
 
 @pytest.mark.parametrize("name", ["rosenbrock10", "ackley53", "rosenbrock238"])
@@ -216,9 +231,7 @@ def test_corner_points_of_a_stack_are_the_corners_of_each_row():
         assert q1.tobytes() == want1.tobytes() and q2.tobytes() == want2.tobytes()
 
 
-# -- the index and bias stream, replayed from raw words -------------------------
-
-BUFFERING_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64]
+# -- the index and bias stream, read from raw words or by the scalar calls -------
 
 
 def scalar_index_then_double(rng, n, count):
@@ -250,7 +263,7 @@ class CountingProxy:
 
 @settings(max_examples=300, deadline=None)
 @given(
-    bit_generator=st.sampled_from(BUFFERING_GENERATORS),
+    bit_generator=st.sampled_from(GENERATORS),
     n=st.sampled_from([1, 2, 3, 119, 3 * 2**30, 2**32 - 1]),
     count=st.integers(0, 200),
     buffered=st.booleans(),
@@ -271,11 +284,12 @@ def test_replayed_pairs_equal_the_scalar_calls(bit_generator, n, count, buffered
     assert replayed.random() == scalar.random()
 
 
-@pytest.mark.parametrize("bit_generator", BUFFERING_GENERATORS)
+@pytest.mark.parametrize("bit_generator", GENERATORS)
 @pytest.mark.parametrize("buffered", [False, True])
 def test_rejected_draws_are_redone_with_the_scalar_calls(bit_generator, buffered):
     # integers(3 * 2**30) draws x again when (3 * 2**30 * x) mod 2**32 < 2**30,
-    # a quarter of the time
+    # a quarter of the time, so some of the 200 units draw again and every
+    # pair comes from the scalar calls
     replayed = CountingProxy(np.random.Generator(bit_generator(11)))
     scalar = np.random.Generator(bit_generator(11))
     if buffered:
@@ -286,7 +300,7 @@ def test_rejected_draws_are_redone_with_the_scalar_calls(bit_generator, buffered
     want_picks, want_doubles = scalar_index_then_double(scalar, 3 * 2**30, 200)
     assert picks.tobytes() == want_picks.tobytes()
     assert doubles.tobytes() == want_doubles.tobytes()
-    assert 20 <= replayed.calls["integers"] == replayed.calls["random"] <= 100
+    assert replayed.calls["integers"] == replayed.calls["random"] == 200
     assert replayed.integers(1000) == scalar.integers(1000)
 
 
@@ -315,11 +329,20 @@ def test_building_the_largest_model_makes_no_generator_call_per_unit():
     assert rng._target.bit_generator.state == plain.bit_generator.state
 
 
-def test_a_generator_without_a_32_bit_buffer_is_rejected():
-    for space in (one_cont_two_int(), int_space((0, 2), (0, 2))):
-        with pytest.raises(InvalidSettingError) as err:
-            build_surrogate(space, np.random.Generator(np.random.MT19937(0)))
-        assert err.value.field == "rng" and "MT19937" in err.value.reason
+def test_a_generator_without_a_32_bit_buffer_builds_from_the_scalar_calls():
+    # MT19937 has no 32-bit buffer: the directions, then one scalar index
+    # and one scalar bias per mixed unit (the units with coefficient 0)
+    for space in (three_cont_one_int(), one_cont_two_int(), int_space((0, 2), (0, 2))):
+        rng, ref = (np.random.Generator(np.random.MT19937(0)) for _ in range(2))
+        model = build_surrogate(space, rng)
+        dirs = sample_directions(space, ref)
+        mixed = model.coeffs == 0.0
+        for w, b in zip(dense_weights(model)[mixed], model.biases[mixed]):
+            d = dirs[ref.integers(len(dirs))]
+            q1, q2 = corner_points(space, d)
+            assert w.tobytes() == d.tobytes()
+            assert b == ref.uniform(-float(d @ q2), -float(d @ q1))
+        assert rng.integers(1000) == ref.integers(1000) and rng.random() == ref.random()
 
 
 def test_a_space_with_no_continuous_variable_draws_nothing():
@@ -599,6 +622,16 @@ def test_units_kinked_at_one_point_are_crossed_together():
         [1.0, 2.0, -1.5, 1.0],
     )
     assert kink_step(model, [0.0, 0.0]) == 1.5
+
+
+def test_tied_kinks_are_summed_in_unit_order():
+    # four copies of changes (2**53, 1, -2**53) at t = 1: in unit order each
+    # 2**53 + 1 rounds to 2**53 and the tie sums to 0, so the slope stays at
+    # -1/2 until the falling unit (c = 1/2) turns off at t = 2. Other orders,
+    # as an unstable sort of the tied t gives them, sum the ones and stop at 1
+    big = 2.0**53
+    model = plane_model([FALLING] + [((1.0, 0.0), -1.0)] * 12, [0.5] + [big, 1.0, -big] * 4)
+    assert kink_step(model, [0.0, 0.0]) == 2.0
 
 
 @settings(max_examples=300, deadline=None)
@@ -1006,6 +1039,120 @@ def test_axis_derivatives_are_within_their_rounding_bound_of_an_exact_sum(name):
             scale = np.abs(coeffs) @ np.where(above | at, np.abs(slopes), 0.0)
             bound = (gamma(m + k + 1) * scale + gamma(2) * np.abs(exact)) * (1.0 + gamma(m + 1))
             assert np.all(np.abs(got - exact) <= bound), name
+
+
+Kink = collections.namedtuple("Kink", "t past units scale crossed")
+
+
+def exact_kinks(model, z, i, sign, slope, room):
+    """The kinks ahead along ``sign`` * e_i in increasing order of t, one Kink
+    per distinct t: the exact slope past t, the number of units kinked up to t,
+    the scale |slope| + sum |c_k r_k| over them, and the (unit, c_k |r_k|)
+    pairs kinked at t, in unit order.
+
+    Each t = -z_k / r_k is a Fraction of the model's own z and r = sign * w_ki,
+    so ties are exact; the slope past t is ``slope`` plus c_k |r_k| of every
+    unit kinked up to t, summed exactly.
+    """
+    rates = (sign * dense_weights(model)[:, i]).tolist()
+    crossed = collections.defaultdict(list)
+    for k, (zk, rk, ck) in enumerate(zip(z.tolist(), rates, model.coeffs.tolist())):
+        if rk != 0.0:
+            t = Fraction(-zk) / Fraction(rk)
+            if 0 < t < room:
+                crossed[t].append((k, Fraction(ck) * abs(Fraction(rk))))
+    past, scale, units, kinks = Fraction(slope), abs(Fraction(slope)), 0, []
+    for t in sorted(crossed):
+        past += sum(change for _, change in crossed[t])
+        scale += sum(abs(change) for _, change in crossed[t])
+        units += len(crossed[t])
+        kinks.append(Kink(t, past, units, scale, crossed[t]))
+    return kinks
+
+
+def check_kink_step(space, model, x):
+    """The model's step from x along the steepest descending axis move that
+    stays in the box (as the descent picks it from ``axis_derivatives``),
+    checked against the exact kinks; returns (step, kinks, z, i, sign).
+
+    The model sums the changes in float, in order of t: each product c_k |r_k|
+    and each addition rounds once, so past j units its slope is within
+    gamma_(j+1) scale of the exact one, and equals it when every term is a
+    multiple of 1/D and scale D < 2**53 (no sum then rounds). It may pass a
+    kink only where its slope is < 0 (exact < bound) and stop only where it
+    is >= 0 (exact >= -bound). Where every exact slope is farther from 0 than
+    its bound, that leaves one step: the first t past which the exact slope
+    is >= 0, or the room.
+    """
+    z = model.preactivations(x)
+    up, down = model.axis_derivatives(z)
+    up, down = np.where(x < space.upper, up, np.inf), np.where(x > space.lower, down, np.inf)
+    i = int(np.argmin(np.minimum(up, down)))
+    sign = 1.0 if up[i] <= down[i] else -1.0
+    slope = float(min(up[i], down[i]))
+    room = float(space.upper[i] - x[i] if sign > 0.0 else x[i] - space.lower[i])
+    assert slope < 0.0 and room > 0.0
+    step = model.first_uphill_kink(z, i, sign, slope, room)
+    kinks = exact_kinks(model, z, i, sign, slope, room)
+    terms = [Fraction(slope)] + [change for kink in kinks for _, change in kink.crossed]
+    exact = not kinks or kinks[-1].scale * max(v.denominator for v in terms) < 2**53
+    assert step == room or any(float(kink.t) == step for kink in kinks)
+    stop = None
+    for kink in kinks:
+        bound = 0.0 if exact else gamma(kink.units + 1) * kink.scale
+        if float(kink.t) < step:
+            assert kink.past < bound
+        elif float(kink.t) == step:  # the last kink that rounds to the step
+            stop = kink.past, bound
+    assert stop is None or stop[0] >= -stop[1]
+    return step, kinks, z, i, sign
+
+
+def quarter_coefficients(space, model, rng):
+    """Coefficients in {-1/2, -1/4, ..., 2} on the constant and integer units
+    and 0 on the mixed ones: every slope along an integer axis is then a sum
+    of multiples of 1/4, which no float sum rounds."""
+    is_mixed = np.any(dense_weights(model)[:, : space.n_continuous] != 0.0, axis=1)
+    return np.where(is_mixed, 0.0, rng.integers(-2, 9, model.n_units) / 4.0)
+
+
+@pytest.mark.parametrize("name", BENCHMARKS)
+def test_the_kink_step_is_the_first_kink_whose_exact_slope_is_not_negative(name):
+    # uniform coefficients round their slopes; quarter ones do not
+    space, model, rng, points = oracle_cases(name, 43)
+    for coeffs in (model.coeffs.copy(), quarter_coefficients(space, model, rng)):
+        model.coeffs[:] = coeffs
+        for x in points:
+            check_kink_step(space, model, x)
+
+
+@pytest.mark.parametrize("name", ["rosenbrock10", "rosenbrock238"])
+def test_the_kink_step_stops_at_an_exact_zero_slope_and_passes_a_tie_that_ends_below_it(name):
+    # from an integral point the integer units' kinks tie at integer t (the
+    # binary variables of ackley53 leave none inside an axis move). Units that
+    # turn on at a tie (z < 0, |r| = 1) are re-weighted: that moves neither z
+    # nor the slopes at x, only the slope past their kink. With quarter
+    # coefficients every sum is exact
+    space, model, rng, (_, x) = oracle_cases(name, 43)
+    model.coeffs[:] = quarter_coefficients(space, model, rng)
+    step, kinks, z, i, _ = check_kink_step(space, model, x)
+    rows = dense_weights(model)
+    for tie in kinks:
+        turning_on = [k for k, _ in tie.crossed if z[k] < 0.0 and abs(rows[k, i]) == 1.0]
+        if len(turning_on) >= 2:
+            break
+    assert len(turning_on) >= 2 and float(tie.t) <= step
+    first, last = turning_on[0], turning_on[-1]
+    # the slope past the tie becomes exactly 0: the model stops there
+    model.coeffs[last] -= float(tie.past)
+    assert check_kink_step(space, model, x)[0] == float(tie.t)
+    # -1/4 past the tie's last unit but >= 0 past its first: the model passes
+    # the whole tie
+    lift = math.ceil(tie.scale) + 1.0
+    model.coeffs[first] += lift
+    model.coeffs[last] -= lift + 0.25
+    step, kinks, *_ = check_kink_step(space, model, x)
+    assert step > float(tie.t) and [kink.past for kink in kinks if kink.t == tie.t] == [-0.25]
 
 
 # -- transpose products from the distinct unit rows -------------------------------
