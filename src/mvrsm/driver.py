@@ -2,15 +2,14 @@
 run loop, and run traces. ``MvrsmOptimizer`` is the ``RandomSearch`` session
 with its own proposals and its own use of each told value.
 
-One iteration of the surrogate loop is: evaluate the objective at the
-current point, fold the observation into the least squares fit, descend the
-surrogate from the best point seen so far, round the integer block, and
-perturb the result to get the next point.
-The first ``init_samples`` evaluations are uniform draws that only feed the
-fit; the loop then starts from the best of them.
+One iteration of the surrogate loop is: ``ask`` descends the surrogate from
+the best point seen so far, rounds the integer block and perturbs the result;
+the caller evaluates the objective there; ``tell`` folds the value into the
+least squares fit. The first ``init_samples`` evaluations are uniform draws
+that only feed the fit; the loop then starts from the best of them.
 
-Per-iteration ``step_seconds`` measures the algorithm's own work and never
-includes objective evaluation time.
+Record k's ``step_seconds`` is the algorithm's own work on point k: proposing
+it and folding its value. It never includes objective evaluation time.
 """
 
 from __future__ import annotations
@@ -184,6 +183,8 @@ class RandomSearch:
         self._best_point: MixedPoint | None = None
 
     def ask(self) -> MixedPoint:
+        """The next point. A proposal that raises (``MvrsmOptimizer``'s descent may
+        raise ``NonFiniteError``) leaves no ask pending and the fit and trace as they were."""
         if self._pending is not None:
             raise ProtocolViolationError("ask() called again before tell()")
         if len(self.trace) == self.config.budget:
@@ -220,7 +221,8 @@ class RandomSearch:
 
     def run(self, objective: Objective) -> RunTrace:
         """Ask, evaluate and tell until ``config.budget`` values are told; an objective
-        that raises or returns a non-finite value raises ``ObjectiveFailureError``."""
+        that raises or returns a non-finite value raises ``ObjectiveFailureError``. Any
+        error ends the run, and the trace keeps every value told before it."""
         while len(self.trace) < self.config.budget:
             point = self.ask()
             try:
@@ -241,29 +243,26 @@ class RandomSearch:
 
 class MvrsmOptimizer(RandomSearch):
     """Ask/tell session of the surrogate loop: random search's first ``init_samples``
-    draws, then descents from the best point. Every told value updates the fit."""
+    draws, then the best of them, then perturbed descents from the best point, each
+    made by ``ask``. A told value only updates the fit."""
 
     def __init__(self, space: SearchSpace, config: OptimizerConfig):
         super().__init__(space, config)
         self.model = build_surrogate(space, self._rng)
-        self._current: MixedPoint | None = None
 
     def _propose(self) -> MixedPoint:
-        if len(self.trace) < self.config.init_samples:
+        told = len(self.trace)
+        if told < self.config.init_samples:
             return super()._propose()
-        return self._current
+        if told == self.config.init_samples:
+            return self._best_point
+        result = minimize(self.model, self.space, self._best_point, self.config.max_iters)
+        proposal = self.space.project(result.point)
+        return MixedPoint(
+            perturb_continuous(self.space, proposal.xc, self._rng),
+            perturb_integer(self.space, proposal.xd, self._rng),
+        )
 
     def _learn(self, point: MixedPoint, y: float) -> None:
         model = self.model
         model.rls.update(model.features(model.preactivations(point.flatten())), y)
-        best_point = point if y < self._best_y else self._best_point
-        index = len(self.trace) + 1
-        if index == self.config.init_samples:
-            self._current = best_point
-        elif index > self.config.init_samples:
-            result = minimize(self.model, self.space, best_point, self.config.max_iters)
-            proposal = self.space.project(result.point)
-            self._current = MixedPoint(
-                perturb_continuous(self.space, proposal.xc, self._rng),
-                perturb_integer(self.space, proposal.xd, self._rng),
-            )

@@ -92,11 +92,32 @@ def test_the_cap_reaches_every_descent(monkeypatch):
 
     monkeypatch.setattr(driver, "minimize", recording)
     MvrsmOptimizer(small_space(), OptimizerConfig(budget=40, rng_seed=1)).run(quadratic)
-    assert len(descents) == 40 - 24 and max(descents) > 1
+    assert len(descents) == 40 - 24 - 1 and max(descents) > 1
     descents.clear()
     capped = OptimizerConfig(budget=40, rng_seed=1, max_iters=1)
     MvrsmOptimizer(small_space(), capped).run(quadratic)
-    assert len(descents) == 40 - 24 and max(descents) == 1
+    assert len(descents) == 40 - 24 - 1 and max(descents) == 1
+
+
+def test_no_descent_follows_the_budgets_last_tell(monkeypatch):
+    calls = []
+    minimize = driver.minimize
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(driver, "minimize", counting)
+    # point 25 is the best of the 24 draws; points 26 to 40 are descents
+    session = MvrsmOptimizer(small_space(), OptimizerConfig(budget=40, init_samples=24))
+    session.run(quadratic)
+    assert len(calls) == 15
+    with pytest.raises(ProtocolViolationError, match="budget"):
+        session.ask()
+    assert len(calls) == 15
+    calls.clear()
+    MvrsmOptimizer(small_space(), OptimizerConfig(budget=24, init_samples=24)).run(quadratic)
+    assert calls == []
 
 
 def test_budget_equal_to_init_is_pure_random_phase():
@@ -254,6 +275,26 @@ def test_a_tell_whose_fit_update_would_overflow_changes_nothing():
     assert opt.trace.records == records
     with pytest.raises(ProtocolViolationError):
         opt.ask()
+
+
+def test_a_failing_descent_fails_the_next_ask_not_the_tell():
+    space = SearchSpace((VariableSpec("integer", 0, 4), VariableSpec("continuous", -1, 1)))
+    opt = MvrsmOptimizer(space, OptimizerConfig(budget=30, init_samples=3, rng_seed=2))
+    fit = opt.model.rls
+    with np.errstate(all="ignore"):
+        for y in (1.0, 2.0, 1.7e308, 0.5):
+            opt.tell(opt.ask(), y)
+        # the told value is recorded, and the descent from the best point fails
+        assert [r.y for r in opt.trace.records] == [1.0, 2.0, 1.7e308, 0.5]
+        coeffs, n_updates, records = fit.coeffs.tobytes(), fit.n_updates, list(opt.trace.records)
+        assert n_updates == 4
+        with pytest.raises(NonFiniteError, match="surrogate"):
+            opt.ask()
+    assert fit.coeffs.tobytes() == coeffs and fit.n_updates == n_updates
+    assert opt.trace.records == records
+    with pytest.raises(ProtocolViolationError, match="pending"):
+        opt.tell(records[-1].point, 0.5)
+    assert fit.n_updates == n_updates
 
 
 def test_ask_tell_loop_matches_run():
