@@ -316,33 +316,24 @@ def _index_then_double(rng: RandomStream, n: int, count: int) -> tuple[np.ndarra
     in the bit generator's state), else the low half of a new word, buffering
     its high half. ``random()`` takes a new word and leaves the buffer alone.
     So from an empty buffer each two units read three words: the first holds
-    both indices, one in each half, and each unit's double is one word. A
-    buffered half is the first unit's index, and the later units follow the
-    empty buffer's pattern. Those pairs are read at once. A bit generator
-    without a 32-bit buffer (MT19937) or an x drawn again takes the pairs from
-    the scalar calls.
+    both indices, one in each half, and each unit's double is one word. Those
+    pairs are read at once. A buffered half, a bit generator without a 32-bit
+    buffer (MT19937) or an x drawn again takes the pairs from the scalar calls.
     """
     bit_generator = rng.bit_generator
     state = bit_generator.state
-    buffered = state.get("has_uint32")
-    if count and buffered is not None:
+    if count and state.get("has_uint32") == 0:
         if n == 1:
             return np.zeros(count, dtype=np.int64), _raw_to_double(bit_generator.random_raw(count))
-        words = bit_generator.random_raw(count + (count - buffered + 1) // 2)
-        held = words[buffered::3]
-        halves = np.stack([held & 0xFFFFFFFF, held >> 32], axis=1).ravel()
-        if buffered:
-            halves = np.concatenate([[np.uint64(state["uinteger"])], halves])
-        scaled = halves[:count] * np.uint64(n)
+        words = bit_generator.random_raw(count + (count + 1) // 2)
+        held = words[::3]
+        scaled = np.stack([held & 0xFFFFFFFF, held >> 32], axis=1).ravel()[:count] * np.uint64(n)
         if not np.any((scaled & 0xFFFFFFFF) < (2**32 - n) % n):
             # the buffer as the scalar calls leave it
             after = bit_generator.state
-            after["has_uint32"] = (count - buffered) % 2
-            if len(held):
-                after["uinteger"] = int(held[-1] >> 32)
+            after["has_uint32"], after["uinteger"] = count % 2, int(held[-1] >> 32)
             bit_generator.state = after
-            doubles = np.delete(words, np.s_[buffered::3])
-            return (scaled >> 32).astype(np.int64), _raw_to_double(doubles)
+            return (scaled >> 32).astype(np.int64), _raw_to_double(np.delete(words, np.s_[::3]))
         bit_generator.state = state
     picks, doubles = np.zeros(count, dtype=np.int64), np.empty(count)
     for k in range(count):

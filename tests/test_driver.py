@@ -91,33 +91,13 @@ def test_the_cap_reaches_every_descent(monkeypatch):
         return result
 
     monkeypatch.setattr(driver, "minimize", recording)
+    # point 25 is the best of the 24 draws; points 26 to 40 are descents
     MvrsmOptimizer(small_space(), OptimizerConfig(budget=40, rng_seed=1)).run(quadratic)
     assert len(descents) == 40 - 24 - 1 and max(descents) > 1
     descents.clear()
     capped = OptimizerConfig(budget=40, rng_seed=1, max_iters=1)
     MvrsmOptimizer(small_space(), capped).run(quadratic)
     assert len(descents) == 40 - 24 - 1 and max(descents) == 1
-
-
-def test_no_descent_follows_the_budgets_last_tell(monkeypatch):
-    calls = []
-    minimize = driver.minimize
-
-    def counting(*args, **kwargs):
-        calls.append(None)
-        return minimize(*args, **kwargs)
-
-    monkeypatch.setattr(driver, "minimize", counting)
-    # point 25 is the best of the 24 draws; points 26 to 40 are descents
-    session = MvrsmOptimizer(small_space(), OptimizerConfig(budget=40, init_samples=24))
-    session.run(quadratic)
-    assert len(calls) == 15
-    with pytest.raises(ProtocolViolationError, match="budget"):
-        session.ask()
-    assert len(calls) == 15
-    calls.clear()
-    MvrsmOptimizer(small_space(), OptimizerConfig(budget=24, init_samples=24)).run(quadratic)
-    assert calls == []
 
 
 def test_budget_equal_to_init_is_pure_random_phase():

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import one_blas_thread
-from mvrsm import surrogate
 from mvrsm.errors import DimensionMismatchError
 from mvrsm.objectives import make_benchmark
 from mvrsm.space import SearchSpace, VariableSpec
@@ -328,27 +327,6 @@ def test_building_the_largest_model_makes_no_generator_call_per_unit():
     assert model.biases.tobytes() == want.biases.tobytes()
     assert model.row_of.tobytes() == want.row_of.tobytes()
     assert rng._target.bit_generator.state == plain.bit_generator.state
-
-
-def test_building_from_a_generator_with_a_buffered_half_makes_no_generator_call_per_unit(
-    monkeypatch,
-):
-    # one integers(5) leaves a half in the 32-bit buffer: it is the first
-    # unit's index, and the 3314 pairs are still one replay
-    space, _ = make_benchmark("rosenbrock238")
-    rng, plain = CountingProxy(np.random.default_rng(0)), np.random.default_rng(0)
-    rng.integers(5)
-    plain.integers(5)
-    rng.calls.clear()
-    model = build_surrogate(space, rng)
-    assert rng.calls["integers"] == rng.calls["random"] == 0
-    monkeypatch.setattr(surrogate, "_index_then_double", scalar_index_then_double)
-    want = build_surrogate(space, plain)
-    assert model.biases.tobytes() == want.biases.tobytes()
-    assert model.row_of.tobytes() == want.row_of.tobytes()
-    assert model.rows.tobytes() == want.rows.tobytes()
-    assert rng._target.bit_generator.state == plain.bit_generator.state
-    assert rng.integers(1000) == plain.integers(1000) and rng.random() == plain.random()
 
 
 def test_a_generator_without_a_32_bit_buffer_builds_from_the_scalar_calls():
