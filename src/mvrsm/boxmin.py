@@ -62,20 +62,18 @@ from .surrogate import ReluSurrogate
 
 __all__ = ["BoxMinResult", "minimize"]
 
-MAX_ITERS = 20  # default iteration cap of one descent
+MAX_ITERS = 20  # default cap on one descent's moves
 MEMORY = 5  # curvature pairs kept
-GRAD_TOL = 1e-8  # stop once the projected gradient is this short
-STEP_TOL = 1e-12  # a step shorter than this ends the descent
+STEP_TOL = 1e-12  # a trial step shorter than this ends its line search
 ARMIJO_C1 = 1e-4
-MAX_BACKTRACKS = 30
-ROUNDS = (1, 1, 4, 8, 16)  # trials per round of a ladder; sums to MAX_BACKTRACKS
+ROUNDS = (1, 1, 4, 8, 16)  # trials per round of a ladder, 30 in all
 CURVATURE_EPS = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
 class BoxMinResult:
     point: MixedPoint
-    iterations: int
+    iterations: int  # moves made, each an accepted step
 
 
 def minimize(
@@ -84,9 +82,11 @@ def minimize(
     start: MixedPoint,
     max_iters: int = MAX_ITERS,
 ) -> BoxMinResult:
-    """Descend the surrogate from ``start`` for at most ``max_iters`` iterations,
-    staying inside the box. Each point's pre-activations are formed once and
-    passed to every model call there; an accepted trial's are the next iterate's."""
+    """Descend the surrogate from ``start``, staying inside the box, by at most
+    ``max_iters`` moves: the descent ends early at the first point where no
+    candidate direction gives an accepted step. Each point's pre-activations
+    are formed once and passed to every model call there; an accepted trial's
+    are the next iterate's."""
     lower, upper = space.lower, space.upper
     x = start.flatten().clip(lower, upper)
     z = model.preactivations(x)
@@ -99,12 +99,6 @@ def minimize(
     iterations = 0
 
     for _ in range(max_iters):
-        # projected gradient: the component of -g that can actually move x
-        proj_grad = x - (x - g).clip(lower, upper)
-        if math.sqrt(proj_grad.dot(proj_grad)) < GRAD_TOL:
-            break
-        iterations += 1
-
         step = None
         for direction, alpha in _candidates(model, x, z, g, pairs, lower, upper):
             step = _line_search(model, x, z, f, direction, alpha, lower, upper)
@@ -112,7 +106,8 @@ def minimize(
                 break
         if step is None:
             break
-        x_new, z_new, f_new, step_norm = step
+        x_new, z_new, f_new = step
+        iterations += 1
 
         g_new = model.gradient(z_new)
         _check_finite(f_new, g_new)
@@ -121,8 +116,6 @@ def minimize(
         if sy > CURVATURE_EPS * math.sqrt(s.dot(s)) * math.sqrt(yy):
             pairs.append((s, y, 1.0 / sy, sy / yy))
         x, z, f, g = x_new, z_new, f_new, g_new
-        if step_norm < STEP_TOL:
-            break
 
     return BoxMinResult(point=space.unflatten(x), iterations=iterations)
 
@@ -161,7 +154,7 @@ def _candidates(model, x, z, g, pairs, lower, upper):
 
 def _line_search(model, x, z, f, direction, alpha, lower, upper):
     """Backtrack from ``x`` (pre-activations ``z``) until a trial point passes
-    sufficient decrease, returned as (point, its z, value, step length), or give up.
+    sufficient decrease, returned as (point, its z, value), or give up.
 
     The decrease test compares against the exact one-sided slope along the
     clipped step, so a step that the averaged gradient calls downhill but the
@@ -202,7 +195,7 @@ def _line_search(model, x, z, f, direction, alpha, lower, upper):
             if f_new <= f:
                 predicted = model.directional_derivative(z, step)
                 if predicted < 0.0 and f_new <= f + ARMIJO_C1 * predicted:
-                    return x_new, z_new, f_new, step_norm
+                    return x_new, z_new, f_new
     return None
 
 

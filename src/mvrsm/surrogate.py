@@ -315,16 +315,15 @@ def _index_then_double(rng: RandomStream, n: int, count: int) -> tuple[np.ndarra
     high half of the last raw word when that half is buffered (``has_uint32``
     in the bit generator's state), else the low half of a new word, buffering
     its high half. ``random()`` takes a new word and leaves the buffer alone.
-    So from an empty buffer each two units read three words: the first holds
-    both indices, one in each half, and each unit's double is one word. Those
-    pairs are read at once. A buffered half, a bit generator without a 32-bit
-    buffer (MT19937) or an x drawn again takes the pairs from the scalar calls.
+    So for n > 1, from an empty buffer each two units read three words: the
+    first holds both indices, one in each half, and each unit's double is one
+    word. Those pairs are read at once. n = 1, a buffered half, a bit
+    generator without a 32-bit buffer (MT19937) or an x drawn again takes the
+    pairs from the scalar calls.
     """
     bit_generator = rng.bit_generator
     state = bit_generator.state
-    if count and state.get("has_uint32") == 0:
-        if n == 1:
-            return np.zeros(count, dtype=np.int64), _raw_to_double(bit_generator.random_raw(count))
+    if count and n > 1 and state.get("has_uint32") == 0:
         words = bit_generator.random_raw(count + (count + 1) // 2)
         held = words[::3]
         scaled = np.stack([held & 0xFFFFFFFF, held >> 32], axis=1).ravel()[:count] * np.uint64(n)

@@ -1,6 +1,7 @@
 """Every exported name must resolve, so a stale export fails here and not in
 a user's ``from mvrsm import ...``."""
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -30,3 +31,25 @@ def test_every_error_class_is_raised_or_caught(name):
     used = re.compile(rf"raise {name}\(|except \(?[\w,\s]*\b{name}\b")
     sources = [p for p in Path(mvrsm.__file__).parent.glob("*.py") if p.name != "errors.py"]
     assert any(used.search(p.read_text(encoding="utf-8")) for p in sources)
+
+
+def test_every_package_constant_is_read():
+    # a module-level constant that no package code reads is a dead setting;
+    # reads are Name and Attribute loads, so a comment naming one does not count
+    sources = Path(mvrsm.__file__).parent.glob("*.py")
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in sources]
+    defined = {
+        target.id
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*", target.id)
+    }
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+    assert sorted(defined - read) == []
