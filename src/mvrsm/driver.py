@@ -15,6 +15,7 @@ it and folding its value. It never includes objective evaluation time.
 from __future__ import annotations
 
 import csv
+import math
 import numbers
 import re
 import time
@@ -32,7 +33,7 @@ from .errors import (
     ProtocolViolationError,
 )
 from .explore import perturb_continuous, perturb_integer
-from .space import MixedPoint, SearchSpace
+from .space import MixedPoint, SearchSpace, _is_real
 from .surrogate import build_surrogate
 
 __all__ = [
@@ -168,8 +169,9 @@ class RandomSearch:
     ``ask`` proposes the next point; ``tell`` feeds back its value. They must
     alternate, ``ask`` refuses once ``config.budget`` values are told, and
     ``tell`` accepts only the pending ``ask``'s point (a copy will do) and a
-    finite value: a rejected ``tell`` changes nothing. ``run`` is a plain
-    ask/evaluate/tell loop, so a hand-driven session reproduces it.
+    finite real number (not a bool, a string or an array): a rejected
+    ``tell`` changes nothing. ``run`` is a plain ask/evaluate/tell loop, so a
+    hand-driven session reproduces it.
     """
 
     def __init__(self, space: SearchSpace, config: OptimizerConfig):
@@ -199,14 +201,19 @@ class RandomSearch:
         if self._pending is None:
             raise ProtocolViolationError("tell() called without a pending ask()")
         pending = self._pending
-        if not (
+        # the pending point itself, as run passes it, needs no comparison
+        if point is not pending and not (
             np.array_equal(getattr(point, "xc", None), pending.xc)
             and np.array_equal(getattr(point, "xd", None), pending.xd)
         ):
             raise ProtocolViolationError("tell() given a point other than the pending ask()'s")
-        y = float(y)
-        if not np.isfinite(y):
-            raise NonFiniteError(f"tell() given non-finite value {y!r}")
+        try:
+            value = float(y) if _is_real(y) else math.nan
+        except OverflowError:  # an int beyond the float range
+            value = math.inf
+        if not math.isfinite(value):
+            raise NonFiniteError(f"tell() given non-finite or non-real value {y!r}")
+        y = value
         tic = time.perf_counter()
 
         self._learn(point, y)

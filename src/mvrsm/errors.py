@@ -45,9 +45,10 @@ class DimensionMismatchError(MvrsmError, ValueError):
 
 
 class NonFiniteError(MvrsmError, ValueError):
-    """A NaN or infinity reached ``tell`` or a numerical routine, a finite value would
-    overflow the fit's update, or rounding left a routine's state invalid. The fit
-    raises it before its state changes."""
+    """``tell`` was given a NaN, an infinity or a value that is not a real number (a
+    string, a bool, an array); a NaN or infinity reached a numerical routine; a
+    finite value would overflow the fit's update; or rounding left a routine's
+    state invalid. ``tell`` and the fit raise it before their state changes."""
 
 
 class ProtocolViolationError(MvrsmError, RuntimeError):

@@ -20,6 +20,8 @@ forms cost the same per update, and U is as large as the matrix it stands for.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidSettingError, NonFiniteError
@@ -51,21 +53,28 @@ class RecursiveLeastSquares:
 
     def update(self, phi, y: float) -> None:
         """Fold one observation (features phi, response y) into the fit. Every check
-        comes before any state changes, so a rejected observation changes nothing."""
+        comes before any state changes, so a rejected observation changes nothing.
+
+        P phi is formed in one buffer (before the fold, U^T (U phi) is
+        subtracted from phi / lam into it). The coefficients become
+        (P phi / denom) * (y - phi . c) + c, and the downdate vector is P phi
+        divided by sqrt(denom) in that buffer: the roundings of
+        c + gain * residual and P phi / sqrt(denom), with fewer temporaries."""
         phi = np.asarray(phi, dtype=float)
         if phi.shape != self.coeffs.shape:
             raise DimensionMismatchError(
                 f"features of shape {phi.shape}, expected {self.coeffs.shape}"
             )
         y = float(y)
-        if not (np.isfinite(y) and np.all(np.isfinite(phi))):
+        if not (math.isfinite(y) and np.isfinite(phi).all()):
             raise NonFiniteError("non-finite observation fed to the least squares update")
 
         fold = self._dense_cov is None and self.n_updates == len(self.coeffs)
         dense_cov = self._multiply_out() if fold else self._dense_cov
         if dense_cov is None:
             u_rows = self._downdates[: self.n_updates]
-            cov_phi = phi / self.lam - u_rows.T @ (u_rows @ phi)
+            cov_phi = u_rows.T @ (u_rows @ phi)
+            np.subtract(phi / self.lam, cov_phi, out=cov_phi)
         else:
             cov_phi = dense_cov @ phi
         denom = 1.0 + phi @ cov_phi
@@ -76,10 +85,11 @@ class RecursiveLeastSquares:
                 f"{self.n_updates + 1}: 1 + phi^T P phi = {denom!r}, "
                 f"max |phi| = {np.abs(phi).max()!r}"
             )
-        gain = cov_phi / denom
-        coeffs = self.coeffs + gain * (y - phi @ self.coeffs)
-        u = cov_phi / np.sqrt(denom)
-        if not (np.all(np.isfinite(coeffs)) and np.all(np.isfinite(u))):
+        coeffs = cov_phi / denom
+        coeffs *= y - phi @ self.coeffs
+        coeffs += self.coeffs
+        u = np.divide(cov_phi, np.sqrt(denom), out=cov_phi)
+        if not (np.isfinite(coeffs).all() and np.isfinite(u).all()):
             raise NonFiniteError("least squares update would make the fit non-finite")
         if fold:
             self._dense_cov, self._downdates = dense_cov, None

@@ -186,12 +186,32 @@ class SearchSpace:
         xd = np.clip(round_half_away(p.xd), self.integer_lower, self.integer_upper)
         return MixedPoint(xc, xd)
 
+    @cached_property
+    def _draw_bounds(self) -> tuple:
+        """``uniform_sample``'s arguments: the continuous lower bounds and widths
+        (None if a width overflows), and the integer bounds as ints, upper exclusive."""
+        with np.errstate(over="ignore"):
+            width = self.continuous_upper - self.continuous_lower
+        return (
+            self.continuous_lower,
+            width if np.isfinite(width).all() else None,
+            self.integer_lower.astype(int),
+            self.integer_upper.astype(int) + 1,
+        )
+
     def uniform_sample(self, rng: RandomStream) -> MixedPoint:
-        """Independent uniform draw: continuous on [l, u], integer uniform on {l..u}."""
-        xc = rng.uniform(self.continuous_lower, self.continuous_upper)
-        xd = rng.integers(
-            self.integer_lower.astype(int), self.integer_upper.astype(int) + 1
-        ).astype(float)
+        """Independent uniform draw: continuous on [l, u], integer uniform on {l..u}.
+
+        The continuous block has the bits of ``rng.uniform(l, u)``, which forms
+        each entry as l + (u - l) * random(), one double per entry in order;
+        here one ``rng.random`` call draws them all.
+        """
+        lower, width, int_lower, int_upper = self._draw_bounds
+        if width is None:  # rng.uniform raises OverflowError for such a range
+            xc = rng.uniform(lower, self.continuous_upper)
+        else:
+            xc = lower + width * rng.random(len(lower))
+        xd = rng.integers(int_lower, int_upper).astype(float)
         return MixedPoint(xc, xd)
 
     def unflatten(self, vec: np.ndarray) -> MixedPoint:

@@ -48,6 +48,13 @@ REGULARISER = 1e-8  # ridge strength for the coefficient fit
 # the final len(rows) mod 4 remainder; the distinct-row layout is built on that.
 _GEMV_GROUP = 4
 
+# Integer rows times dim from which one-vector products gather the integer rows
+# instead of multiplying them. On built models of M = 525-6911 under one BLAS
+# thread the gathers were slower at 19 900, even at 39 060 and faster from
+# 40 275; at rosenbrock238's 113 050 they took 14 us against 23 us. ackley53
+# has 10 547 and rosenbrock10 110.
+_GATHER_MIN = 40_000
+
 
 @dataclass
 class ReluSurrogate:
@@ -73,7 +80,12 @@ class ReluSurrogate:
     full 4-row kernel group or in the last M mod 4 rows, so the distinct rows
     are padded with zero rows to whole groups, the last M mod 4 units get
     their own copies at the very end, and a row and its negation are stored
-    apart (folding the sign would turn a +0 product into -0).
+    apart (folding the sign would turn a +0 product into -0). When the
+    integer rows times dim reach ``_GATHER_MIN`` (rosenbrock238, not the two
+    smaller benchmarks), ``build_surrogate`` sets ``_integer_block`` and a
+    one-vector product gathers the integer rows' products instead, each one
+    exact operation, with the same bits and under any BLAS thread count; the
+    gemv forms only the mixed rows and their neighbours (see ``_forward``).
     ``preactivations`` and ``value`` also take a stack of points (or of their
     z), one row each, and give each row the bytes of the call on it alone.
 
@@ -98,6 +110,8 @@ class ReluSurrogate:
             if name == "rows":
                 # max(+-rows, 0), formed again at the next axis_derivatives call
                 object.__setattr__(self, "_kink_parts", None)
+                # new rows need not hold build_surrogate's integer block
+                object.__setattr__(self, "_integer_block", None)
         object.__setattr__(self, name, value)
 
     def __post_init__(self):
@@ -121,10 +135,34 @@ class ReluSurrogate:
 
     def _forward(self, v: np.ndarray) -> np.ndarray:
         """weights @ v, row by row for an (n, dim) stack, formed from the
-        distinct unit rows with the same bits (one gemv per row, not a gemm)."""
-        if v.ndim == 1:
+        distinct unit rows with the same bits (one gemv per row, not a gemm).
+
+        With ``_integer_block`` = (n_continuous, n_integer) set, one finite v
+        gathers the products of the zero row and the +-e_i and
+        +-(e_i - e_{i-1}) rows: v_i + 0.0, then the differences of those, then
+        0.0 - each. The gemv adds zeros to one nonzero product (two for a
+        difference row) from a +0 start, so a row whose product is a signed
+        zero gives +0: ``+ 0.0`` turns v_i = -0 into +0, and ``0.0 -`` keeps
+        -(+0) at +0. The gemv forms the rest, the mixed rows, the padding and
+        the tail copies, from the last kernel group boundary before the mixed
+        rows on, so each of those rows keeps its group position.
+        """
+        if v.ndim == 2:
+            return (self.rows @ v[:, :, None])[:, :, 0].take(self.row_of, axis=1)
+        # a non-finite v makes 0 * inf = NaN in the gemv, which gathers lack
+        if self._integer_block is None or not np.isfinite(v).all():
             return (self.rows @ v)[self.row_of]
-        return (self.rows @ v[:, :, None])[:, :, 0].take(self.row_of, axis=1)
+        nc, nd = self._integer_block
+        n_int = 4 * nd - 1  # the zero row, then a + and a - row per integer direction
+        start = n_int - n_int % _GEMV_GROUP
+        out = np.empty(len(self.rows))
+        out[0] = 0.0
+        plus = out[1:n_int:2]  # +e_i, then +(e_i - e_{i-1})
+        np.add(v[nc:], 0.0, out=plus[:nd])
+        np.subtract(plus[1:nd], plus[: nd - 1], out=plus[nd:])
+        np.subtract(0.0, plus, out=out[2:n_int:2])
+        np.matmul(self.rows[start:], v, out=out[start:])
+        return out[self.row_of]
 
     def _per_row(self, u: np.ndarray) -> np.ndarray:
         """u summed over the units of each distinct row, in unit order."""
@@ -377,7 +415,9 @@ def build_surrogate(space: SearchSpace, rng: RandomStream) -> ReluSurrogate:
     and one bias per mixed unit, as the scalar calls would. A space with no
     continuous variable draws nothing.
     The distinct rows, the integer block's and then the used directions, are
-    written once, into the one array of ``_grouped_rows``' layout.
+    written once, into the one array of ``_grouped_rows``' layout. When the
+    integer rows times dim reach ``_GATHER_MIN``, the model's one-vector
+    products gather those rows (``ReluSurrogate._forward``).
     """
     row_of, biases, n_int_rows, integer_rows = _integer_block(space)
     n_int_units = len(biases) - 1
@@ -398,7 +438,10 @@ def build_surrogate(space: SearchSpace, rng: RandomStream) -> ReluSurrogate:
     biases = np.concatenate([biases, mixed_biases])
     coeffs = np.concatenate([np.ones(1 + n_int_units), np.zeros(n_mixed)])
     fit = RecursiveLeastSquares(coeffs, lam=REGULARISER)
-    return ReluSurrogate(rows, row_of, biases, fit.coeffs, rls=fit)
+    model = ReluSurrogate(rows, row_of, biases, fit.coeffs, rls=fit)
+    if n_int_rows * space.dim >= _GATHER_MIN:
+        model._integer_block = space.n_continuous, space.n_integer
+    return model
 
 
 def _grouped_rows(n_rows: int, row_of: np.ndarray, dim: int, *writes) -> np.ndarray:

@@ -215,7 +215,9 @@ def test_tell_rejects_a_non_finite_value(session_class):
     opt = session_class(space, cfg)
     for i in range(cfg.budget):
         point = opt.ask()
-        for bad in (np.nan, -np.inf):
+        # not finite, or not a real number: a string, a bool, an array, or an
+        # int beyond the float range
+        for bad in (np.nan, -np.inf, "1e3", True, np.array([2.0]), 10**400):
             with pytest.raises(NonFiniteError, match="non-finite"):
                 opt.tell(point, bad)
             # nothing was recorded, and the ask is still pending

@@ -27,6 +27,7 @@ from mvrsm.errors import (
 from mvrsm.objectives import make_benchmark
 from mvrsm.rls import _BLOCK_ROWS, RecursiveLeastSquares
 from mvrsm.space import SearchSpace, VariableSpec
+from mvrsm.surrogate import build_surrogate
 from handbuilt import covariance
 
 
@@ -210,6 +211,45 @@ def test_blocked_downdate_equals_unblocked_rank_one_downdate(m):
     cov = covariance(fit)
     assert np.array_equal(cov, want)
     assert np.array_equal(cov, cov.T)
+
+
+def reference_update(fit, phi, y):
+    """(coefficients, downdate vector u) that the next update of ``fit`` makes,
+    by the update's formula as first written, with its temporaries."""
+    if fit._dense_cov is None and fit.n_updates < len(fit.coeffs):
+        u_rows = fit._downdates[: fit.n_updates]
+        cov_phi = phi / fit.lam - u_rows.T @ (u_rows @ phi)
+    else:
+        cov_phi = covariance(fit) @ phi
+    denom = 1.0 + phi @ cov_phi
+    gain = cov_phi / denom
+    coeffs = fit.coeffs + gain * (y - phi @ fit.coeffs)
+    return coeffs, cov_phi / np.sqrt(denom)
+
+
+@pytest.mark.parametrize(
+    "name, updates", [("rosenbrock238", 8), ("rosenbrock10", 230)], ids=["M6629", "M221"]
+)
+def test_update_equals_the_reference_formula_byte_for_byte(name, updates):
+    # M = 6629 for n = 1-8 before any fold; M = 221 before, at and after the fold
+    space, objective = make_benchmark(name, rng=np.random.default_rng([0, 1]))
+    rng = np.random.default_rng(0)
+    model = build_surrogate(space, rng)
+    for n in range(updates):
+        point = space.uniform_sample(rng)
+        phi = model.features(model.preactivations(point.flatten()))
+        y = objective(point)
+        # the update at n = M multiplies the stack out, then downdates it
+        dense = model.rls._dense_cov is not None or n == len(model.coeffs)
+        want_coeffs, u = reference_update(model.rls, phi, y)
+        want_cov = covariance(model.rls) - np.outer(u, u) if dense else None
+        model.rls.update(phi, y)
+        assert model.coeffs.tobytes() == want_coeffs.tobytes(), n
+        if dense:
+            assert covariance(model.rls).tobytes() == want_cov.tobytes(), n
+        else:
+            assert model.rls._downdates[n].tobytes() == u.tobytes(), n
+    assert (model.rls._dense_cov is not None) == (updates > len(model.coeffs))
 
 
 def test_update_allocates_no_square_temporary():

@@ -258,3 +258,35 @@ def test_uniform_sample_covers_integer_range_ends():
     rng = np.random.default_rng(0)
     seen = {float(space.uniform_sample(rng).xd[0]) for _ in range(200)}
     assert seen == {0.0, 1.0, 2.0}
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
+@settings(max_examples=100, deadline=None)
+@given(
+    bounds=st.lists(
+        st.tuples(
+            st.floats(-1e6, 1e6, allow_subnormal=True), st.floats(0.0, 1e6, allow_subnormal=True)
+        ),
+        max_size=6,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_uniform_sample_has_the_bits_of_the_uniform_and_integers_calls(bit_generator, bounds, seed):
+    variables = [VariableSpec("continuous", low, low + width) for low, width in bounds]
+    space = SearchSpace((*variables, VariableSpec("integer", -3, 4), VariableSpec("integer", 0, 0)))
+    got, want = np.random.Generator(bit_generator(seed)), np.random.Generator(bit_generator(seed))
+    for _ in range(3):
+        p = space.uniform_sample(got)
+        xc = want.uniform(space.continuous_lower, space.continuous_upper)
+        xd = want.integers(space.integer_lower.astype(int), space.integer_upper.astype(int) + 1)
+        assert p.xc.tobytes() == xc.tobytes()
+        assert p.xd.tobytes() == xd.astype(float).tobytes()
+    # the generators are left alike, a buffered 32-bit half included
+    assert got.integers(2**31, size=3).tolist() == want.integers(2**31, size=3).tolist()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_uniform_sample_over_a_range_beyond_the_floats_raises_as_numpy_does():
+    space = SearchSpace((VariableSpec("continuous", -1e308, 1e308), VariableSpec("integer", 0, 1)))
+    with pytest.raises(OverflowError):
+        space.uniform_sample(np.random.default_rng(0))

@@ -735,6 +735,60 @@ def test_distinct_row_products_equal_the_dense_products_byte_for_byte():
         assert compared > 0 and differing == 0, (name, compared, differing)
 
 
+def gathered_product_mismatches(seed: int) -> list:
+    """[model, entries compared, entries whose bytes differ] for one-vector
+    products with the integer rows gathered, against the dense product
+    (rows @ v)[row_of], on the three benchmark models with the gathers forced on.
+
+    Points are random and integral. Directions are random with about a third
+    of their entries +0.0 and a third -0.0, all +0.0, all -0.0, one-hot of
+    either sign, integral, and random with one NaN or infinite entry (which
+    takes the dense product).
+    """
+    rng = np.random.default_rng(seed)
+    report = []
+    for name in BENCHMARKS:
+        space, _ = make_benchmark(name)
+        model = build_surrogate(space, rng)
+        model._integer_block = space.n_continuous, space.n_integer
+        vectors = [np.zeros(space.dim), np.full(space.dim, -0.0)]
+        for _ in range(40):
+            vectors += [rng.uniform(space.lower, space.upper), space.uniform_sample(rng).flatten()]
+            signed = rng.normal(size=space.dim)
+            signed[rng.random(space.dim) < 1 / 3] = 0.0
+            signed[rng.random(space.dim) < 1 / 3] = -0.0
+            one_hot = np.zeros(space.dim)
+            one_hot[rng.integers(space.dim)] = rng.choice([-1.0, 1.0])
+            broken = rng.normal(size=space.dim)
+            broken[rng.integers(space.dim)] = rng.choice([np.nan, np.inf, -np.inf])
+            vectors += [signed, one_hot, np.round(rng.normal(size=space.dim) * 3.0), broken]
+        compared = differing = 0
+        for v in vectors:
+            got, expected = model._forward(v), (model.rows @ v)[model.row_of]
+            compared += len(expected)
+            differing += int(np.sum(got.view(np.uint64) != expected.view(np.uint64)))
+        report.append([name, compared, differing])
+    return report
+
+
+def test_gathered_integer_rows_equal_the_dense_product_byte_for_byte():
+    report = one_blas_thread.call("test_surrogate", "gathered_product_mismatches", 0)
+    assert [name for name, _, _ in report] == BENCHMARKS
+    for name, compared, differing in report:
+        assert compared > 0 and differing == 0, (name, compared, differing)
+
+
+def test_only_the_largest_benchmark_model_gathers_its_integer_rows():
+    for name in BENCHMARKS:
+        space, _ = make_benchmark(name)
+        model = build_surrogate(space, np.random.default_rng(0))
+        gathers = model._integer_block == (space.n_continuous, space.n_integer)
+        assert gathers == (name == "rosenbrock238"), name
+        # rows set afterwards need not hold the integer block
+        model.rows = model.rows.copy()
+        assert model._integer_block is None
+
+
 def stacked_mismatches(seed: int) -> list:
     """[model, rows compared, rows whose z or value bytes differ from the call
     on that row alone] for stacks of 1 to 16 points.
