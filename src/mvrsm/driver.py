@@ -162,16 +162,27 @@ def read_trace_csv(path) -> dict[str, np.ndarray]:
     }
 
 
+def _finite_real(y) -> float | None:
+    """``y`` as a float if it is a finite real number (not a bool, a string or an
+    array), else None."""
+    try:
+        value = float(y) if _is_real(y) else math.nan
+    except OverflowError:  # an int beyond the float range
+        return None
+    return value if math.isfinite(value) else None
+
+
 class RandomSearch:
     """Ask/tell session of the random-search baseline, whose every point is a
     uniform draw, and the bookkeeping a subclass's ``_propose`` and ``_learn`` share.
 
-    ``ask`` proposes the next point; ``tell`` feeds back its value. They must
-    alternate, ``ask`` refuses once ``config.budget`` values are told, and
-    ``tell`` accepts only the pending ``ask``'s point (a copy will do) and a
-    finite real number (not a bool, a string or an array): a rejected
-    ``tell`` changes nothing. ``run`` is a plain ask/evaluate/tell loop, so a
-    hand-driven session reproduces it.
+    ``ask`` proposes the next point, whose blocks are read-only; ``tell`` feeds
+    back its value. They must alternate, ``ask`` refuses once ``config.budget``
+    values are told, and ``tell`` accepts only the pending ``ask``'s point (a
+    copy will do) and a finite real number (not a bool, a string or an array):
+    a rejected ``tell`` changes nothing. ``run`` is a plain ask/evaluate/tell
+    loop that holds the objective's value to ``tell``'s rule, so a hand-driven
+    session reproduces it.
     """
 
     def __init__(self, space: SearchSpace, config: OptimizerConfig):
@@ -185,8 +196,9 @@ class RandomSearch:
         self._best_point: MixedPoint | None = None
 
     def ask(self) -> MixedPoint:
-        """The next point. A proposal that raises (``MvrsmOptimizer``'s descent may
-        raise ``NonFiniteError``) leaves no ask pending and the fit and trace as they were."""
+        """The next point, its ``xc`` and ``xd`` read-only. A proposal that raises
+        (``MvrsmOptimizer``'s descent may raise ``NonFiniteError``) leaves no ask
+        pending and the fit and trace as they were."""
         if self._pending is not None:
             raise ProtocolViolationError("ask() called again before tell()")
         if len(self.trace) == self.config.budget:
@@ -194,10 +206,13 @@ class RandomSearch:
         tic = time.perf_counter()
         point = self._propose()
         self._ask_seconds = time.perf_counter() - tic
+        point.xc.flags.writeable = point.xd.flags.writeable = False
         self._pending = point
         return point
 
     def tell(self, point: MixedPoint, y: float) -> None:
+        """Record ``y`` as the pending point's value (``MvrsmOptimizer`` also folds it
+        into the fit). The point recorded is the one ``ask`` returned, whatever copy is given."""
         if self._pending is None:
             raise ProtocolViolationError("tell() called without a pending ask()")
         pending = self._pending
@@ -207,13 +222,10 @@ class RandomSearch:
             and np.array_equal(getattr(point, "xd", None), pending.xd)
         ):
             raise ProtocolViolationError("tell() given a point other than the pending ask()'s")
-        try:
-            value = float(y) if _is_real(y) else math.nan
-        except OverflowError:  # an int beyond the float range
-            value = math.inf
-        if not math.isfinite(value):
+        value = _finite_real(y)
+        if value is None:
             raise NonFiniteError(f"tell() given non-finite or non-real value {y!r}")
-        y = value
+        point, y = pending, value
         tic = time.perf_counter()
 
         self._learn(point, y)
@@ -227,18 +239,23 @@ class RandomSearch:
         self._pending = None
 
     def run(self, objective: Objective) -> RunTrace:
-        """Ask, evaluate and tell until ``config.budget`` values are told; an objective
-        that raises or returns a non-finite value raises ``ObjectiveFailureError``. Any
-        error ends the run, and the trace keeps every value told before it."""
+        """Ask, evaluate and tell until ``config.budget`` values are told. An objective
+        that raises, or returns what ``tell`` would reject (a NaN, an infinity, or a
+        value that is not a real number: a string, a bool, an array), raises
+        ``ObjectiveFailureError``. Any error ends the run, and the trace keeps every
+        value told before it."""
         while len(self.trace) < self.config.budget:
             point = self.ask()
             try:
-                y = float(objective(point))
+                y = objective(point)
             except Exception as exc:
                 raise ObjectiveFailureError(f"objective raised: {exc}") from exc
-            if not np.isfinite(y):
-                raise ObjectiveFailureError(f"objective returned non-finite value {y!r}")
-            self.tell(point, y)
+            value = _finite_real(y)
+            if value is None:
+                raise ObjectiveFailureError(
+                    f"objective returned non-finite or non-real value {y!r}"
+                )
+            self.tell(point, value)
         return self.trace
 
     def _propose(self) -> MixedPoint:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import numbers
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Literal
 
 import numpy as np
@@ -62,7 +61,15 @@ class MixedPoint:
 
 @dataclass(frozen=True, eq=False)
 class SearchSpace:
-    """Ordered mixed domain; requires at least one integer variable."""
+    """Ordered mixed domain; requires at least one integer variable.
+
+    The box's arrays are formed once, when the space is made, and are
+    read-only (writing into one raises ``ValueError``): ``continuous_positions``
+    and ``integer_positions``, the declaration indices of each block (intp),
+    and the float64 bounds ``continuous_lower``/``continuous_upper``,
+    ``integer_lower``/``integer_upper`` and, in block layout [continuous;
+    integer], ``lower``/``upper``. Each block's bounds are views of the latter.
+    """
 
     variables: tuple[VariableSpec, ...]
 
@@ -70,7 +77,6 @@ class SearchSpace:
         object.__setattr__(self, "variables", tuple(self.variables))
         if len(self.variables) == 0:
             raise InvalidSettingError("variables", "a search space needs at least one variable")
-        n_integer = 0
         for i, v in enumerate(self.variables):
             if v.kind not in ("continuous", "integer"):
                 raise VariableError(i, f"unknown kind {v.kind!r}")
@@ -87,7 +93,6 @@ class SearchSpace:
             if v.lower > v.upper:
                 raise VariableError(i, f"lower {v.lower!r} > upper {v.upper!r}")
             if v.kind == "integer":
-                n_integer += 1
                 for bound in (v.lower, v.upper):
                     # points hold integers as floats, and beyond 2**53 not
                     # every integer is a float
@@ -97,26 +102,37 @@ class SearchSpace:
                         )
                     if float(bound) != int(bound):
                         raise VariableError(i, f"integer bound {bound!r} is not integral")
-        if n_integer == 0:
+        is_integer = np.array([v.kind == "integer" for v in self.variables])
+        if not is_integer.any():
             raise InvalidSettingError(
                 "variables", "the surrogate's integer basis needs at least one integer variable"
             )
-
-    # -- derived layout ---------------------------------------------------
-
-    @cached_property
-    def continuous_positions(self) -> np.ndarray:
-        """Declaration indices of the continuous variables."""
-        return np.array(
-            [i for i, v in enumerate(self.variables) if v.kind == "continuous"], dtype=int
-        )
-
-    @cached_property
-    def integer_positions(self) -> np.ndarray:
-        """Declaration indices of the integer variables."""
-        return np.array(
-            [i for i, v in enumerate(self.variables) if v.kind == "integer"], dtype=int
-        )
+        # the box's arrays, and uniform_sample's: the continuous widths (None
+        # if one overflows) and the integer bounds as ints, both inclusive
+        continuous, integer = np.flatnonzero(~is_integer), np.flatnonzero(is_integer)
+        order = np.concatenate([continuous, integer])
+        lower = np.array([v.lower for v in self.variables], float)[order]
+        upper = np.array([v.upper for v in self.variables], float)[order]
+        n = len(continuous)
+        with np.errstate(over="ignore"):
+            width = upper[:n] - lower[:n]
+        arrays = {
+            "continuous_positions": continuous,
+            "integer_positions": integer,
+            "lower": lower,
+            "upper": upper,
+            "continuous_lower": lower[:n],
+            "continuous_upper": upper[:n],
+            "integer_lower": lower[n:],
+            "integer_upper": upper[n:],
+            "_continuous_width": width if np.isfinite(width).all() else None,
+            "_integer_lower_int": lower[n:].astype(int),
+            "_integer_upper_int": upper[n:].astype(int),
+        }
+        for name, array in arrays.items():
+            if array is not None:
+                array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @property
     def n_continuous(self) -> int:
@@ -129,32 +145,6 @@ class SearchSpace:
     @property
     def dim(self) -> int:
         return len(self.variables)
-
-    @cached_property
-    def continuous_lower(self) -> np.ndarray:
-        return np.array([self.variables[i].lower for i in self.continuous_positions], float)
-
-    @cached_property
-    def continuous_upper(self) -> np.ndarray:
-        return np.array([self.variables[i].upper for i in self.continuous_positions], float)
-
-    @cached_property
-    def integer_lower(self) -> np.ndarray:
-        return np.array([self.variables[i].lower for i in self.integer_positions], float)
-
-    @cached_property
-    def integer_upper(self) -> np.ndarray:
-        return np.array([self.variables[i].upper for i in self.integer_positions], float)
-
-    @cached_property
-    def lower(self) -> np.ndarray:
-        """Lower bounds in block layout [continuous; integer]."""
-        return np.concatenate([self.continuous_lower, self.integer_lower])
-
-    @cached_property
-    def upper(self) -> np.ndarray:
-        """Upper bounds in block layout [continuous; integer]."""
-        return np.concatenate([self.continuous_upper, self.integer_upper])
 
     # -- point operations --------------------------------------------------
 
@@ -186,33 +176,22 @@ class SearchSpace:
         xd = np.clip(round_half_away(p.xd), self.integer_lower, self.integer_upper)
         return MixedPoint(xc, xd)
 
-    @cached_property
-    def _draw_bounds(self) -> tuple:
-        """``uniform_sample``'s arguments: the continuous lower bounds and widths
-        (None if a width overflows), and the integer bounds as ints, upper exclusive."""
-        with np.errstate(over="ignore"):
-            width = self.continuous_upper - self.continuous_lower
-        return (
-            self.continuous_lower,
-            width if np.isfinite(width).all() else None,
-            self.integer_lower.astype(int),
-            self.integer_upper.astype(int) + 1,
-        )
-
     def uniform_sample(self, rng: RandomStream) -> MixedPoint:
         """Independent uniform draw: continuous on [l, u], integer uniform on {l..u}.
 
         The continuous block has the bits of ``rng.uniform(l, u)``, which forms
         each entry as l + (u - l) * random(), one double per entry in order;
-        here one ``rng.random`` call draws them all.
+        here one ``rng.random`` call draws them all, from the widths formed
+        with the space. The integer block has the bits of
+        ``rng.integers(l, u + 1)``, drawn from the int bounds formed with it.
         """
-        lower, width, int_lower, int_upper = self._draw_bounds
+        lower, width = self.continuous_lower, self._continuous_width
         if width is None:  # rng.uniform raises OverflowError for such a range
             xc = rng.uniform(lower, self.continuous_upper)
         else:
             xc = lower + width * rng.random(len(lower))
-        xd = rng.integers(int_lower, int_upper).astype(float)
-        return MixedPoint(xc, xd)
+        xd = rng.integers(self._integer_lower_int, self._integer_upper_int, endpoint=True)
+        return MixedPoint(xc, xd.astype(float))
 
     def unflatten(self, vec: np.ndarray) -> MixedPoint:
         vec = np.asarray(vec, dtype=float)

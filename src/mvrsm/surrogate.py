@@ -285,8 +285,7 @@ def _integer_block(space: SearchSpace) -> tuple[np.ndarray, np.ndarray, int, tup
     their nonzero entries as ((row index, column index), value) arrays.
     """
     nc, nd = space.n_continuous, space.n_integer
-    lo = space.integer_lower.astype(int)
-    up = space.integer_upper.astype(int)
+    lo, up = space._integer_lower_int, space._integer_upper_int
     # one (p, threshold) per +/- unit pair, whose rows are +-e_p for p < nd
     # and +-(e_i - e_{i-1}) with i = p - nd + 1 otherwise; p's thresholds
     # run from first[p] to last[p]

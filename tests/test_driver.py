@@ -199,13 +199,33 @@ def test_tell_rejects_a_point_other_than_the_pending_one(session_class):
         ):
             with pytest.raises(ProtocolViolationError, match="pending"):
                 opt.tell(other, quadratic(other) if isinstance(other, MixedPoint) else 0.0)
-        # a rejected tell records nothing, and an equal copy is accepted
+        # a rejected tell records nothing, and an equal copy is accepted in
+        # place of the pending point, which is what the trace records
         opt.tell(MixedPoint(point.xc.copy(), point.xd.copy()), quadratic(point))
+        assert opt.trace.records[-1].point is point
     # the rejected tells left the run exactly as an undisturbed one
     reference = session_class(space, cfg).run(quadratic)
     np.testing.assert_array_equal(trace_array(opt.trace, "y"), trace_array(reference, "y"))
     for ra, rb in zip(opt.trace.records, reference.records):
         np.testing.assert_array_equal(ra.point.flatten(), rb.point.flatten())
+
+
+@pytest.mark.parametrize("session_class", SESSIONS)
+def test_asked_points_are_read_only(session_class):
+    space = small_space()
+    opt = session_class(space, OptimizerConfig(budget=30, init_samples=5, rng_seed=2))
+    for _ in range(opt.config.budget):
+        point = opt.ask()
+        for block, value in ((point.xd, 99.0), (point.xc, 1e6)):
+            with pytest.raises(ValueError, match="read-only"):
+                block[0] = value
+        assert space.contains(point)
+        opt.tell(point, quadratic(point))
+    # nor can a told point be rewritten, in its record or as the best point
+    last = opt.trace.records[-1]
+    for block in (last.point.xc, last.best_point.xd):
+        with pytest.raises(ValueError, match="read-only"):
+            block[0] = 0.5
 
 
 @pytest.mark.parametrize("session_class", SESSIONS)
@@ -307,13 +327,17 @@ def test_raising_objective_aborts_with_partial_trace():
     assert len(session.trace) == 9
 
 
-def test_non_finite_objective_value_aborts():
-    def broken(point):
-        return np.inf
-
+@pytest.mark.parametrize(
+    "value",
+    [np.inf, np.nan, "1e3", True, np.array([2.0]), 10**400],
+    ids=["inf", "nan", "str", "bool", "array", "int-beyond-float"],
+)
+def test_non_finite_objective_value_aborts(value):
+    """run holds the objective's value to tell's rule: a finite real number."""
     session = RandomSearch(small_space(), OptimizerConfig(budget=5, init_samples=5))
-    with pytest.raises(ObjectiveFailureError, match="non-finite"):
-        session.run(broken)
+    with pytest.raises(ObjectiveFailureError, match="non-finite") as err:
+        session.run(lambda point: value)
+    assert repr(value)[:20] in str(err.value)
     assert len(session.trace) == 0
 
 

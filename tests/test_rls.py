@@ -317,6 +317,7 @@ def test_fold_keeps_the_covariance_symmetric_definite_and_the_fit_exact(m):
         pytest.param("ackley53", 224, 24, id="ackley53-224"),
         pytest.param("rosenbrock10", 500, 24, id="rosenbrock10-500"),
         pytest.param("rosenbrock238", 8, 4, id="rosenbrock238-8"),
+        pytest.param("rosenbrock238", 300, 24, id="rosenbrock238-300"),
     ],
 )
 def test_fit_tracks_ridge_oracle_at_benchmark_size(name, budget, init_samples):

@@ -167,6 +167,20 @@ def test_block_layout_follows_declaration_order():
     assert space.integer_positions.tolist() == [1, 3, 4]
     assert space.lower.tolist() == [-1, -1, -2, -2, -2]
     assert space.upper.tolist() == [2, 2, 2, 2, 2]
+    assert space.continuous_positions.dtype == space.integer_positions.dtype == np.intp
+    assert space.lower.dtype == space.integer_upper.dtype == np.float64
+
+
+def test_the_box_arrays_are_read_only():
+    space = mixed_space()
+    names = ["continuous_positions", "integer_positions", "lower", "upper"]
+    names += [f"{block}_{side}" for block in ("continuous", "integer") for side in names[2:]]
+    for name in names:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(space, name)[0] = 1e9
+    outside = MixedPoint(np.array([5e8, 0.0]), np.array([0.0, 0.0, 0.0]))
+    assert not space.contains(outside)
+    assert space.project(outside).xc.tolist() == [2.0, 0.0]
 
 
 def test_declared_values_scatters_blocks_back():
